@@ -47,6 +47,25 @@ def _render_pair(dz: WeightReport, dx: WeightReport) -> str:
     return f"{dz.render()}/{dx.render()}"
 
 
+def _params_dict(p: AqecParams | SubsystemParams, r: int | None = None) -> dict:
+    """JSON form of derived parameters; the key order is part of the output."""
+    out = {"n": p.n, "q": p.q, "k": p.k}
+    if r is not None:
+        out["r"] = r
+    out.update(
+        dz=p.dz.as_dict(),
+        dx=p.dx.as_dict(),
+        c1=p.c1.descriptor(),
+        c2=p.c2.descriptor(),
+        route=p.route,
+    )
+    if p.pure is not None:
+        out["pure"] = p.pure
+    if p.notes:
+        out["notes"] = list(p.notes)
+    return out
+
+
 @dataclass(frozen=True)
 class AqecParams:
     """A derived asymmetric quantum code [[n, k, dz/dx]]_q with provenance."""
@@ -66,21 +85,7 @@ class AqecParams:
         return f"[[{self.n},{self.k},{_render_pair(self.dz, self.dx)}]]_{self.q}"
 
     def as_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "q": self.q,
-            "k": self.k,
-            "dz": self.dz.as_dict(),
-            "dx": self.dx.as_dict(),
-            "c1": self.c1.descriptor(),
-            "c2": self.c2.descriptor(),
-            "route": self.route,
-        }
-        if self.pure is not None:
-            out["pure"] = self.pure
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
+        return _params_dict(self)
 
 
 @dataclass(frozen=True)
@@ -103,22 +108,7 @@ class SubsystemParams:
         return f"[[{self.n},{self.k},{self.r},{_render_pair(self.dz, self.dx)}]]_{self.q}"
 
     def as_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "q": self.q,
-            "k": self.k,
-            "r": self.r,
-            "dz": self.dz.as_dict(),
-            "dx": self.dx.as_dict(),
-            "c1": self.c1.descriptor(),
-            "c2": self.c2.descriptor(),
-            "route": self.route,
-        }
-        if self.pure is not None:
-            out["pure"] = self.pure
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
+        return _params_dict(self, self.r)
 
 
 @dataclass(frozen=True)
@@ -134,29 +124,27 @@ class CorrectionCapability:
 # CSS derivation
 # ---------------------------------------------------------------------------
 
-def _difference_side(outer: CyclicCode, inner: CyclicCode, budget: int,
-                     workers: int) -> WeightReport:
+def _difference_side(outer: CyclicCode, inner: CyclicCode, budget: int) -> WeightReport:
     try:
-        return min_weight_difference(outer, inner, budget, workers=workers)
+        return min_weight_difference(outer, inner, budget)
     except BudgetExceeded:
         return bound_only_report(outer, budget)
 
 
 def _evaluate_purity(side1: WeightReport, side2: WeightReport,
-                     c1: CyclicCode, c2: CyclicCode, budget: int,
-                     workers: int) -> bool | None:
+                     c1: CyclicCode, c2: CyclicCode, budget: int) -> bool | None:
     if not (side1.is_exact and side2.is_exact):
         return None
     try:
-        d1 = min_weight(c1, budget, workers=workers)
-        d2 = min_weight(c2, budget, workers=workers)
+        d1 = min_weight(c1, budget)
+        d2 = min_weight(c2, budget)
     except BudgetExceeded:
         return None
     return side1.value == d1.value and side2.value == d2.value
 
 
 def css_aqec(c1: CyclicCode, c2: CyclicCode, budget: int = DEFAULT_BUDGET, *,
-             purity: bool | None = None, workers: int = 1) -> AqecParams:
+             purity: bool | None = None) -> AqecParams:
     """Asymmetric CSS code from a nested pair: requires dual(C2) inside C1.
 
     k is computed from the actual dimensions (three ways, which must agree).
@@ -184,15 +172,15 @@ def css_aqec(c1: CyclicCode, c2: CyclicCode, budget: int = DEFAULT_BUDGET, *,
             f"set difference={k_sets}"
         )
     c1perp = c1.dual()
-    side1 = _difference_side(c1, c2perp, budget, workers)  # X-side weight
-    side2 = _difference_side(c2, c1perp, budget, workers)  # Z-side weight
+    side1 = _difference_side(c1, c2perp, budget)  # X-side weight
+    side2 = _difference_side(c2, c1perp, budget)  # Z-side weight
     if side1.is_exact and side2.is_exact:
         dx, dz = sorted((side1, side2), key=lambda r: r.value)
     else:
         dx, dz = side1, side2
     want_purity = purity if purity is not None else n <= PURITY_AUTO_LIMIT
     pure = (
-        _evaluate_purity(side1, side2, c1, c2, budget, workers)
+        _evaluate_purity(side1, side2, c1, c2, budget)
         if want_purity
         else None
     )
@@ -240,8 +228,7 @@ def _formula_note(kind: str, k1: int, b: int, n: int, k_true: int) -> str:
 
 def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
                          budget: int = DEFAULT_BUDGET, *,
-                         purity: bool | None = None,
-                         workers: int = 1) -> tuple[CyclicCode, AqecParams]:
+                         purity: bool | None = None) -> tuple[CyclicCode, AqecParams]:
     """Extend g1 to g1*f (f a monic divisor of the parity polynomial h1).
 
     The product generates the dual of the new partner code C2; the derived
@@ -270,7 +257,7 @@ def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
     if c2perp.generator_polynomial != f * c1.generator_polynomial:
         raise InternalConsistencyError("extended generator does not match f * g1")
     c2 = c2perp.dual()
-    params = css_aqec(c1, c2, budget, purity=purity, workers=workers)
+    params = css_aqec(c1, c2, budget, purity=purity)
     b = int(f.degree)
     if params.k != b:
         raise InternalConsistencyError(
@@ -295,8 +282,7 @@ def _roots_of(f: Polynomial, code: CyclicCode) -> frozenset[int]:
 
 def extend_by_defining_set(c1: CyclicCode, members: Sequence[int],
                            budget: int = DEFAULT_BUDGET, *,
-                           purity: bool | None = None,
-                           workers: int = 1) -> tuple[CyclicCode, AqecParams]:
+                           purity: bool | None = None) -> tuple[CyclicCode, AqecParams]:
     """Build the partner code from a coset block T inside T(C1-dual) minus T(C1).
 
     C2 gets defining set T(C1-dual) minus (T union -T); the identity
@@ -321,7 +307,7 @@ def extend_by_defining_set(c1: CyclicCode, members: Sequence[int],
         )
     if not c1.contains(c2perp):
         raise NotNested(f"derived partner of {c1.descriptor()} fails the nesting premise")
-    params = css_aqec(c1, c2, budget, purity=purity, workers=workers)
+    params = css_aqec(c1, c2, budget, purity=purity)
     b = len(tt)
     if params.k != b:
         raise InternalConsistencyError(
@@ -360,8 +346,7 @@ def aqec_to_subsystem(a: AqecParams, r: int) -> SubsystemParams:
 
 
 def subsystem_euclidean(c1: CyclicCode, budget: int = DEFAULT_BUDGET, *,
-                        purity: bool | None = None,
-                        workers: int = 1) -> tuple[SubsystemParams, SubsystemParams]:
+                        purity: bool | None = None) -> tuple[SubsystemParams, SubsystemParams]:
     """Subsystem pair from a single code via C2 = C1 intersect C1-dual.
 
     Returns [[n, n-(k1+k2), k1-k2, dz/dx]] and the role-swapped
@@ -375,15 +360,15 @@ def subsystem_euclidean(c1: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     if k1 + k2 > n:
         raise InternalConsistencyError("dim(C1) + dim(C1 intersect C1-dual) exceeded n")
     c2perp = c2.dual()
-    side_a = _difference_side(c2perp, c1, budget, workers)   # wt(C2-dual minus C1)
-    side_b = _difference_side(c1perp, c2, budget, workers)   # wt(C1-dual minus C2)
+    side_a = _difference_side(c2perp, c1, budget)   # wt(C2-dual minus C1)
+    side_b = _difference_side(c1perp, c2, budget)   # wt(C1-dual minus C2)
     if side_a.is_exact and side_b.is_exact:
         dx, dz = sorted((side_a, side_b), key=lambda r: r.value)
     else:
         dx, dz = sorted((side_a, side_b), key=lambda r: (r.value, not r.is_exact))
     pure: bool | None = None
     if (purity if purity is not None else n <= PURITY_AUTO_LIMIT):
-        pure = _evaluate_purity(side_a, side_b, c2perp, c1perp, budget, workers)
+        pure = _evaluate_purity(side_a, side_b, c2perp, c1perp, budget)
     k, r = n - (k1 + k2), k1 - k2
     notes = (f"intersection code C2 = C1 ^ C1-dual is [{n},{k2}]_{q}",)
     first = SubsystemParams(n, q, k, r, dz, dx, pure, c1, c2, "subsystem-euclidean", notes)

@@ -13,7 +13,7 @@ computed parameters are compared with the printed ones:
                     that does not contradict the printed value
     NOT-REPRODUCED  anything else
 
-Verdicts are deterministic across runs and worker counts.
+Verdicts are deterministic across runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .aqec import AqecParams, css_aqec
-from .cyclic import CyclicCode, bch, from_defining_set
+from .cyclic import CyclicCode, bch, consecutive_run_bound_mask, from_defining_set
 from .polyring import CyclotomicCoset, cyclotomic_cosets
 from .weights import DEFAULT_BUDGET, min_weight
 
@@ -101,21 +101,6 @@ class RowAudit:
         }
 
 
-def _run_bound_mask(n: int, mask: int) -> int:
-    """consecutive_run_bound on a residue bitmask (fast candidate ranking)."""
-    if mask == 0:
-        return 1
-    full = (1 << n) - 1
-    if mask == full:
-        return n + 1
-    run = 0
-    x = mask
-    while x:
-        x &= ((x << 1) | (x >> (n - 1))) & full
-        run += 1
-    return run + 1
-
-
 def _candidate_sets(n: int, q: int, target: int,
                     allowed: Sequence[CyclotomicCoset]) -> list[frozenset[int]]:
     """All unions of `allowed` cosets with exactly `target` members,
@@ -137,7 +122,7 @@ def _candidate_sets(n: int, q: int, target: int,
 
     rec(0, 0, frozenset(), 0)
     # falling designed bound; ties resolved by the residue bitmask
-    ranked = sorted(masks, key=lambda mm: (-_run_bound_mask(n, mm[0]), mm[0]))
+    ranked = sorted(masks, key=lambda mm: (-consecutive_run_bound_mask(n, mm[0]), mm[0]))
     return [members for _, members in ranked]
 
 
@@ -195,8 +180,7 @@ def _resolve_by_search(stated: tuple[int, int, int], q: int,
     return candidates
 
 
-def audit_row(row: ReferenceRow, budget: int = DEFAULT_BUDGET, *,
-              workers: int = 1) -> RowAudit:
+def audit_row(row: ReferenceRow, budget: int = DEFAULT_BUDGET) -> RowAudit:
     notes: list[str] = []
     n, q = row.c1[0], row.q
     cosets = cyclotomic_cosets(n, q)
@@ -230,7 +214,7 @@ def audit_row(row: ReferenceRow, budget: int = DEFAULT_BUDGET, *,
     best: AqecParams | None = None
     chosen: CyclicCode | None = None
     for cand in c1_candidates:
-        params = css_aqec(cand, c2, budget, workers=workers)
+        params = css_aqec(cand, c2, budget)
         if best is None:
             best, chosen = params, cand
         if (params.k, params.dz.value, params.dx.value) == (exp_k, exp_dz, exp_dx) \
@@ -301,15 +285,11 @@ def _cross_row_notes(audits: list[RowAudit]) -> list[RowAudit]:
 
 
 def audit_rows(indices: Sequence[int] | None = None,
-               budget: int = DEFAULT_BUDGET, *, workers: int = 1) -> list[RowAudit]:
+               budget: int = DEFAULT_BUDGET) -> list[RowAudit]:
     """Audit the requested rows (default: all nine) of the reference table."""
     wanted = set(indices) if indices is not None else {r.index for r in REFERENCE_TABLE}
     unknown = wanted - {r.index for r in REFERENCE_TABLE}
     if unknown:
         raise ValueError(f"unknown row indices {sorted(unknown)}; table has rows 1..9")
-    audits = [
-        audit_row(row, budget, workers=workers)
-        for row in REFERENCE_TABLE
-        if row.index in wanted
-    ]
+    audits = [audit_row(row, budget) for row in REFERENCE_TABLE if row.index in wanted]
     return _cross_row_notes(audits)

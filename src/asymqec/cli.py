@@ -141,7 +141,7 @@ def _code_report(code: CyclicCode, args) -> dict:
     }
     if code.k > 0:
         try:
-            report["d"] = min_weight(code, args.budget, workers=args.workers).as_dict()
+            report["d"] = min_weight(code, args.budget).as_dict()
         except BudgetExceeded:
             if args.exact:
                 raise
@@ -188,24 +188,22 @@ def _cmd_derive(args) -> int:
     if args.route == "css":
         if not args.c2:
             raise ValueError("derive css requires --c2")
-        params = css_aqec(c1, parse_code(args.c2), args.budget,
-                          purity=args.purity, workers=args.workers)
+        params = css_aqec(c1, parse_code(args.c2), args.budget, purity=args.purity)
         results = [params]
     elif args.route == "extend-poly":
         if not args.f:
             raise ValueError("derive extend-poly requires --f")
         _, params = extend_by_polynomial(c1, _parse_f(args.f, c1), args.budget,
-                                         purity=args.purity, workers=args.workers)
+                                         purity=args.purity)
         results = [params]
     elif args.route == "extend-set":
         if args.T is None:
             raise ValueError("derive extend-set requires --T")
         _, params = extend_by_defining_set(c1, parse_residue_set(args.T), args.budget,
-                                           purity=args.purity, workers=args.workers)
+                                           purity=args.purity)
         results = [params]
     else:  # subsystem
-        first, swapped = subsystem_euclidean(c1, args.budget,
-                                             purity=args.purity, workers=args.workers)
+        first, swapped = subsystem_euclidean(c1, args.budget, purity=args.purity)
         results = [first, swapped]
     if _exact_violated(args, results):
         return EXIT_BUDGET
@@ -224,7 +222,7 @@ def _cmd_table1(args) -> int:
     indices = None
     if args.rows:
         indices = [int(tok) for tok in args.rows.split(",") if tok.strip()]
-    audits = audit_rows(indices, args.budget, workers=args.workers)
+    audits = audit_rows(indices, args.budget)
     if args.format == "json":
         _emit_json([a.as_dict() for a in audits])
     elif args.format == "csv":
@@ -251,8 +249,7 @@ def _cmd_table1(args) -> int:
 
 def _cmd_search(args) -> int:
     results = search(args.n, args.q, args.route, args.budget,
-                     max_results=args.max_results, workers=args.workers,
-                     max_codes=args.max_space)
+                     max_results=args.max_results, max_codes=args.max_space)
     if args.format == "json":
         _emit_json([p.as_dict() for p in results])
     elif args.format == "csv":
@@ -267,15 +264,13 @@ def _cmd_search(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, budget=True, workers=True, fmt=True, exact=False):
-    if budget:
+def _add_common(sub, weights=True, exact=False):
+    if weights:
         sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help="max codeword enumerations (default 2^28)")
-    if workers:
         sub.add_argument("--workers", type=int, default=1,
-                         help="parallel workers for weight searches")
-    if fmt:
-        sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+                         help="accepted and ignored; weight searches run serially")
+    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     if exact:
         sub.add_argument("--exact", action="store_true",
                          help="fail (exit 3) instead of degrading to bound-only")
@@ -292,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cosets", help="cyclotomic coset partition of Z_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    _add_common(p, budget=False, workers=False)
+    _add_common(p, weights=False)
     p.set_defaults(handler=_cmd_cosets)
 
     p = subs.add_parser("code", help="report a classical cyclic code")

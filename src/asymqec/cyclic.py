@@ -86,22 +86,26 @@ class DefiningSet:
 
 def consecutive_run_bound(n: int, members: frozenset[int]) -> int:
     """Designed-distance bound: longest cyclic run of consecutive residues + 1."""
-    if not members:
+    mask = 0
+    for s in members:
+        mask |= 1 << s
+    return consecutive_run_bound_mask(n, mask)
+
+
+def consecutive_run_bound_mask(n: int, mask: int) -> int:
+    """consecutive_run_bound of the residues set in `mask` (bit s for residue s)."""
+    if mask == 0:
         return 1
-    if len(members) == n:
+    full = (1 << n) - 1
+    if mask == full:
         return n + 1
-    best = run = 0
-    # scan two laps so wrap-around runs are seen whole
-    for i in range(2 * n):
-        if (i % n) in members:
-            run += 1
-            if run > best:
-                best = run
-            if best >= n:
-                break
-        else:
-            run = 0
-    return min(best, n) + 1
+    # each rotate-and-AND keeps only the residues whose run reaches one step further back
+    run = 0
+    x = mask
+    while x:
+        x &= ((x << 1) | (x >> (n - 1))) & full
+        run += 1
+    return run + 1
 
 
 class CyclicCode:

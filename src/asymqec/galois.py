@@ -374,6 +374,8 @@ class Field:
         if self.p == 2:
             return a ^ b
         p = self.p
+        if self.m == 1:
+            return (a + b) % p
         da = _decode_digits(a, p, self.m)
         db = _decode_digits(b, p, self.m)
         return _encode_digits([(x + y) % p for x, y in zip(da, db)], p)
@@ -382,6 +384,8 @@ class Field:
         if self.p == 2:
             return a
         p = self.p
+        if self.m == 1:
+            return -a % p
         return _encode_digits([(-d) % p for d in _decode_digits(a, p, self.m)], p)
 
     def sub_i(self, a: int, b: int) -> int:

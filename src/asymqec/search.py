@@ -70,24 +70,25 @@ def _dedup_key(params: AqecParams | SubsystemParams):
 
 
 def search(n: int, q: int, route: str = "css", budget: int = DEFAULT_BUDGET, *,
-           max_results: int | None = None, workers: int = 1,
+           max_results: int | None = None,
            max_codes: int = DEFAULT_MAX_CODES) -> list[AqecParams | SubsystemParams]:
-    """Derive all codes of the given route at length n; see module docstring."""
+    """Derive all codes of the given route at length n; see module docstring.
+
+    Pairs involving the zero code (no nonzero codewords, so no distance) are
+    skipped; any error raised by a derivation propagates.
+    """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     codes = all_cyclic_codes(n, q, max_codes)
     results: list[AqecParams | SubsystemParams] = []
     if route == "css":
         for c2 in codes:
+            if c2.k == 0:
+                continue
             c2perp = c2.dual()
             for c1 in codes:
-                if not c1.contains(c2perp):
-                    continue
-                try:
-                    results.append(css_aqec(c1, c2, budget, workers=workers))
-                except ValueError:
-                    # only the all-zero / full-space boundary pair lands here
-                    continue
+                if c1.k and c1.contains(c2perp):
+                    results.append(css_aqec(c1, c2, budget))
     elif route == "extend-poly":
         for c1 in codes:
             outside = [c for c in cyclotomic_cosets(n, q)
@@ -97,35 +98,26 @@ def search(n: int, q: int, route: str = "css", budget: int = DEFAULT_BUDGET, *,
                     f = minimal_polynomial(n, q, chosen[0])
                     for coset in chosen[1:]:
                         f = f * minimal_polynomial(n, q, coset)
-                    try:
-                        results.append(extend_by_polynomial(c1, f, budget, workers=workers)[1])
-                    except ValueError:
-                        continue
+                    results.append(extend_by_polynomial(c1, f, budget)[1])
     elif route == "extend-set":
         for c1 in codes:
+            if c1.k == 0:
+                continue
             allowed_members = c1.dual().T.members - c1.T.members
             allowed = [c for c in cyclotomic_cosets(n, q)
                        if set(c.members) <= allowed_members]
-            for size in range(len(allowed) + 1):
+            # the full space with the empty block would pair with the zero code
+            for size in range(0 if c1.k < n else 1, len(allowed) + 1):
                 for chosen in combinations(allowed, size):
                     members: set[int] = set()
                     for coset in chosen:
                         members.update(coset.members)
-                    try:
-                        results.append(
-                            extend_by_defining_set(c1, members, budget, workers=workers)[1]
-                        )
-                    except ValueError:
-                        continue
+                    results.append(extend_by_defining_set(c1, members, budget)[1])
     else:  # subsystem
         for c1 in codes:
             if c1.k == 0 or c1.k == n:
                 continue
-            try:
-                first, swapped = subsystem_euclidean(c1, budget, workers=workers)
-            except ValueError:
-                continue
-            results.extend((first, swapped))
+            results.extend(subsystem_euclidean(c1, budget))
     seen = set()
     unique = []
     for params in results:

@@ -1,18 +1,22 @@
 """Exhaustive minimum-weight search, weight distributions and transforms.
 
-The binary kernel walks all q^k messages in Gray-code order, re-encoding
+Every search is one serial scan over the message indices 1..total. The
+binary kernel walks all 2^k messages in Gray-code order, re-encoding
 incrementally (one row XOR per step) with codewords held as integer
 bitmasks; set-difference searches additionally maintain the syndrome of the
 inner code's parity matrix the same way, one precomputed XOR per step. For
-q > 2 one representative per projective class is enumerated (weights and
-inner-membership are scalar-invariant).
+q > 2 one representative per projective class is walked (weights and
+inner-membership are scalar-invariant): each step adds one precomputed
+scaled generator row per changed message digit to a word updated in place,
+and each row carries its syndrome against the inner parity matrix, so a
+word lies outside the inner code exactly when its syndrome part is nonzero.
 
-The message space is processed in fixed chunks of 2^16 independent of the
-worker count. A search may stop early once it finds a word whose weight
-equals the consecutive-root lower bound (the result is then still exact);
-the reported `enumerated` count is derived from the index of the first
-chunk that reached the bound, so reports are identical bit-for-bit for any
-worker count.
+A search may stop early once it finds a word whose weight equals the
+consecutive-root lower bound (the result is then still exact). The reported
+`enumerated` count is the message index at which the scan stopped, rounded
+up to a multiple of CHUNK = 2^16 and capped at the message count; a scan
+that did not stop early reports every message. The `workers` keyword of
+`min_weight` and `min_weight_difference` is accepted and ignored.
 
 Set differences: wt(C_outer minus C_inner) with C_inner equal to C_outer is
 an empty set; this arises exactly for derived codes with zero logical
@@ -23,10 +27,9 @@ code (the minimum stabilizer weight), and that is what is reported.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from . import galois
 from .cyclic import CyclicCode, generator_matrix, parity_check_matrix
@@ -34,7 +37,7 @@ from .errors import BudgetExceeded, InternalConsistencyError, NotNested
 
 #: default cap on codeword enumerations
 DEFAULT_BUDGET = 1 << 28
-#: messages per scheduling chunk; fixed so reports do not depend on workers
+#: reporting unit of `enumerated` for scans that stop early
 CHUNK = 1 << 16
 
 _INF = 1 << 62
@@ -70,12 +73,9 @@ def bound_only_report(code: CyclicCode, budget: int) -> WeightReport:
 
 
 # ---------------------------------------------------------------------------
-# Scan kernels
+# Scan kernels: each returns (minimum, message index where `lb` was reached
+# or None); lb = 0 never stops a scan early
 # ---------------------------------------------------------------------------
-
-def _binary_rows(code: CyclicCode) -> list[int]:
-    return list(generator_matrix(code).bitmask_rows())
-
 
 def _binary_syndromes(rows: Sequence[int], inner: CyclicCode) -> list[int]:
     checks = parity_check_matrix(inner).bitmask_rows()
@@ -89,42 +89,22 @@ def _binary_syndromes(rows: Sequence[int], inner: CyclicCode) -> list[int]:
     return syns
 
 
-def _scan_binary(rows: Sequence[int], syns: Sequence[int] | None,
-                 lo: int, hi: int, lb: int | None) -> int:
-    """Min weight over messages t in [lo, hi); returns a large sentinel if none count."""
+def _scan_binary(rows: Sequence[int], syns: Sequence[int] | None, total: int,
+                 lb: int) -> tuple[int, int | None]:
+    """Gray walk over messages 1..total; with `syns`, words in the inner code are skipped."""
     cw = 0
     syn = 0
-    g = lo ^ (lo >> 1)
-    idx = 0
-    while g:
-        if g & 1:
-            cw ^= rows[idx]
-            if syns is not None:
-                syn ^= syns[idx]
-        g >>= 1
-        idx += 1
     best = _INF
     if syns is None:
-        w = cw.bit_count()
-        if w < best:
-            best = w
-        if lb is not None and best <= lb:
-            return best
-        for t in range(lo + 1, hi):
+        for t in range(1, total + 1):
             cw ^= rows[(t & -t).bit_length() - 1]
             w = cw.bit_count()
             if w < best:
                 best = w
-                if lb is not None and best <= lb:
-                    return best
+                if best <= lb:
+                    return best, t
     else:
-        if syn:
-            w = cw.bit_count()
-            if w < best:
-                best = w
-        if lb is not None and best <= lb:
-            return best
-        for t in range(lo + 1, hi):
+        for t in range(1, total + 1):
             j = (t & -t).bit_length() - 1
             cw ^= rows[j]
             syn ^= syns[j]
@@ -132,108 +112,77 @@ def _scan_binary(rows: Sequence[int], syns: Sequence[int] | None,
                 w = cw.bit_count()
                 if w < best:
                     best = w
-                    if lb is not None and best <= lb:
-                        return best
-    return best
+                    if best <= lb:
+                        return best, t
+    return best, None
 
 
-def _generic_message(r: int, k: int, q: int) -> list[int]:
-    """Projective-class representative number r: first nonzero digit is 1."""
-    offset = 0
-    for lead in range(k):
-        cnt = q ** (k - 1 - lead)
-        if r < offset + cnt:
-            tail = r - offset
-            msg = [0] * k
-            msg[lead] = 1
-            for pos in range(k - 1, lead, -1):
-                tail, d = divmod(tail, q)
-                msg[pos] = d
-            return msg
-        offset += cnt
-    raise IndexError(r)
+def _projective_walk(code: CyclicCode, inner: CyclicCode | None) -> Iterator[list[int]]:
+    """Yield the codeword of every projective-class representative, in order.
 
-
-def _scan_generic(code: CyclicCode, inner_rows: Sequence[Sequence[int]] | None,
-                  lo: int, hi: int, lb: int | None) -> int:
+    Representatives have leading digit 1 at position `lead` (0..k-1), the
+    later digits counted base q with the last position fastest. The yielded
+    list is one word updated in place: n coordinates, then the syndrome
+    against the parity matrix of `inner` (absent when inner is None).
+    """
     field = code.field
-    mul, add = field.mul_i, field.add_i
-    grows = generator_matrix(code).rows
-    n, k, q = code.n, code.k, code.q
+    add, mul, sub = field.add_i, field.mul_i, field.sub_i
+    q, k, xor = code.q, code.k, field.p == 2
+    ext = generator_matrix(code).rows
+    if inner is not None:
+        checks = parity_check_matrix(inner)
+        ext = [row + checks.syndrome(row) for row in ext]
+    scaled: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    word = [0] * len(ext[0])
+    digits = [0] * k
+
+    def set_digit(i: int, value: int) -> None:
+        c = sub(value, digits[i])
+        digits[i] = value
+        step = scaled.get((i, c))
+        if step is None:
+            step = [(j, mul(c, x)) for j, x in enumerate(ext[i]) if c and x]
+            scaled[(i, c)] = step
+        if xor:
+            for j, x in step:
+                word[j] ^= x
+        else:
+            for j, x in step:
+                word[j] = add(word[j], x)
+
+    for lead in range(k):
+        if lead:
+            set_digit(lead - 1, 0)
+        set_digit(lead, 1)
+        for i in range(lead + 1, k):
+            set_digit(i, 0)
+        yield word
+        pos = k - 1
+        while pos > lead:
+            d = digits[pos]
+            if d == q - 1:
+                set_digit(pos, 0)
+                pos -= 1
+            else:
+                set_digit(pos, d + 1)
+                yield word
+                pos = k - 1
+
+
+def _scan_qary(code: CyclicCode, inner: CyclicCode | None,
+               lb: int) -> tuple[int, int | None]:
+    """Projective walk over messages 1..total; with `inner`, its words are skipped."""
+    n = code.n
     best = _INF
-    for r in range(lo - 1, hi - 1):  # representatives are 0-based
-        msg = _generic_message(r, k, q)
-        cw = [0] * n
-        for i, m in enumerate(msg):
-            if m:
-                row = grows[i]
-                for j in range(n):
-                    if row[j]:
-                        cw[j] = add(cw[j], mul(m, row[j]))
-        if inner_rows is not None:
-            in_inner = True
-            for row in inner_rows:
-                acc = 0
-                for a, b in zip(row, cw):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                if acc:
-                    in_inner = False
-                    break
-            if in_inner:
-                continue
-        w = sum(1 for c in cw if c)
+    for t, word in enumerate(_projective_walk(code, inner), 1):
+        if inner is not None and not any(word[n:]):
+            continue
+        w = n - word[:n].count(0)
         if w < best:
             best = w
-            if lb is not None and best <= lb:
-                return best
-    return best
-
-
-def _orchestrate(scan: Callable[[int, int, int | None], int], total: int,
-                 lb: int | None, workers: int) -> tuple[int, int]:
-    """Run `scan` over chunked message indices 1..total; returns (min, enumerated).
-
-    Chunks complete in index order; `enumerated` depends only on the first
-    chunk whose local minimum reaches the lower bound, never on workers.
-    """
-    if total <= 0:
-        return _INF, 0
-    nchunks = (total + CHUNK - 1) // CHUNK
-    best = _INF
-    cut: int | None = None
-    if workers <= 1:
-        for c in range(nchunks):
-            lo = c * CHUNK + 1
-            hi = min(total, (c + 1) * CHUNK) + 1
-            local = scan(lo, hi, lb)
-            if local < best:
-                best = local
-            if lb is not None and best <= lb:
-                cut = c
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            c = 0
-            while c < nchunks and cut is None:
-                wave = range(c, min(c + workers, nchunks))
-                futures = [
-                    pool.submit(scan, ci * CHUNK + 1, min(total, (ci + 1) * CHUNK) + 1, lb)
-                    for ci in wave
-                ]
-                for ci, fut in zip(wave, futures):
-                    local = fut.result()
-                    if local < best:
-                        best = local
-                    if lb is not None and local <= lb and cut is None:
-                        cut = ci
-                c = wave.stop
-    if lb is not None and best < lb:
-        raise InternalConsistencyError(
-            f"found weight {best} below the proven lower bound {lb}"
-        )
-    enumerated = total if cut is None else min(total, (cut + 1) * CHUNK)
-    return best, enumerated
+            if best <= lb:
+                return best, t
+    return best, None
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +190,6 @@ def _orchestrate(scan: Callable[[int, int, int | None], int], total: int,
 # ---------------------------------------------------------------------------
 
 _MIN_CACHE: dict[tuple, WeightReport] = {}
-_DIFF_CACHE: dict[tuple, WeightReport] = {}
 _DIST_CACHE: dict[CyclicCode, tuple[tuple[int, int], ...]] = {}
 _W_LOCK = threading.Lock()
 
@@ -252,13 +200,44 @@ def _total_messages(code: CyclicCode) -> int:
     return (code.q**code.k - 1) // (code.q - 1)
 
 
+def _exhaustive(outer: CyclicCode, inner: CyclicCode | None, budget: int,
+                early_stop: bool) -> WeightReport:
+    """Scan every message of `outer`, skipping words of `inner` when given."""
+    key = (outer, inner, early_stop)
+    report = _MIN_CACHE.get(key)
+    if report is None:
+        lb = outer.designed_distance_bound if early_stop else 0
+        total = _total_messages(outer)
+        if outer.q == 2:
+            rows = generator_matrix(outer).bitmask_rows()
+            syns = _binary_syndromes(rows, inner) if inner is not None else None
+            best, stop = _scan_binary(rows, syns, total, lb)
+        else:
+            best, stop = _scan_qary(outer, inner, lb)
+        if best < lb:
+            raise InternalConsistencyError(
+                f"found weight {best} below the proven lower bound {lb}"
+            )
+        if best >= _INF:
+            raise InternalConsistencyError(
+                "no nonzero codeword found in a k > 0 code" if inner is None
+                else "set difference of strictly nested codes cannot be empty"
+            )
+        enumerated = total if stop is None else min(total, -(-stop // CHUNK) * CHUNK)
+        report = WeightReport(best, "exhaustive", enumerated, budget)
+        with _W_LOCK:
+            _MIN_CACHE[key] = report
+    return replace(report, budget=budget)
+
+
 def min_weight(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
                workers: int = 1, early_stop: bool = True) -> WeightReport:
     """Exact minimum nonzero Hamming weight over all q^k codewords.
 
     Falls back to the dual-side route (enumerate the dual, MacWilliams back)
     when q^k exceeds the budget but q^(n-k) does not; raises BudgetExceeded
-    when neither side fits.
+    when neither side fits. `workers` is accepted and ignored: the scan is
+    serial.
     """
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
@@ -276,22 +255,7 @@ def min_weight(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
                     _MIN_CACHE[key] = report
             return replace(report, budget=budget)
         raise BudgetExceeded(space, budget)
-    key = (code, early_stop)
-    report = _MIN_CACHE.get(key)
-    if report is None:
-        lb = code.designed_distance_bound if early_stop else None
-        if code.q == 2:
-            rows = _binary_rows(code)
-            scan = lambda lo, hi, b: _scan_binary(rows, None, lo, hi, b)
-        else:
-            scan = lambda lo, hi, b: _scan_generic(code, None, lo, hi, b)
-        best, enumerated = _orchestrate(scan, _total_messages(code), lb, workers)
-        if best >= _INF:
-            raise InternalConsistencyError("no nonzero codeword found in a k > 0 code")
-        report = WeightReport(best, "exhaustive", enumerated, budget)
-        with _W_LOCK:
-            _MIN_CACHE[key] = report
-    return replace(report, budget=budget)
+    return _exhaustive(code, None, budget, early_stop)
 
 
 def min_weight_difference(outer: CyclicCode, inner: CyclicCode,
@@ -302,7 +266,8 @@ def min_weight_difference(outer: CyclicCode, inner: CyclicCode,
     Requires inner to be nested in outer. An inner equal to outer leaves an
     empty difference (the zero-logical-dimension situation); the minimum
     weight of the full outer code is reported then, matching the stabilizer
-    convention. An inner zero code reduces to plain min_weight.
+    convention. An inner zero code reduces to plain min_weight. `workers` is
+    accepted and ignored: the scan is serial.
     """
     if (outer.n, outer.q) != (inner.n, inner.q):
         raise ValueError(
@@ -311,30 +276,11 @@ def min_weight_difference(outer: CyclicCode, inner: CyclicCode,
     if not outer.contains(inner):
         raise NotNested(f"{inner.descriptor()} is not a subcode of {outer.descriptor()}")
     if inner.k == 0 or inner.k == outer.k:
-        return min_weight(outer, budget, workers=workers, early_stop=early_stop)
+        return min_weight(outer, budget, early_stop=early_stop)
     space = outer.q**outer.k
     if space > budget:
         raise BudgetExceeded(space, budget)
-    key = (outer, inner, early_stop)
-    report = _DIFF_CACHE.get(key)
-    if report is None:
-        lb = outer.designed_distance_bound if early_stop else None
-        if outer.q == 2:
-            rows = _binary_rows(outer)
-            syns = _binary_syndromes(rows, inner)
-            scan = lambda lo, hi, b: _scan_binary(rows, syns, lo, hi, b)
-        else:
-            inner_rows = parity_check_matrix(inner).rows
-            scan = lambda lo, hi, b: _scan_generic(outer, inner_rows, lo, hi, b)
-        best, enumerated = _orchestrate(scan, _total_messages(outer), lb, workers)
-        if best >= _INF:
-            raise InternalConsistencyError(
-                "set difference of strictly nested codes cannot be empty"
-            )
-        report = WeightReport(best, "exhaustive", enumerated, budget)
-        with _W_LOCK:
-            _DIFF_CACHE[key] = report
-    return replace(report, budget=budget)
+    return _exhaustive(outer, inner, budget, early_stop)
 
 
 def weight_distribution(code: CyclicCode,
@@ -367,24 +313,14 @@ def _distribution_direct(code: CyclicCode) -> tuple[tuple[int, int], ...]:
     counts[0] = 1
     if code.k:
         if code.q == 2:
-            rows = _binary_rows(code)
+            rows = generator_matrix(code).bitmask_rows()
             cw = 0
             for t in range(1, 1 << code.k):
                 cw ^= rows[(t & -t).bit_length() - 1]
                 counts[cw.bit_count()] += 1
         else:
-            grows = generator_matrix(code).rows
-            mul, add = code.field.mul_i, code.field.add_i
-            for r in range(_total_messages(code)):
-                msg = _generic_message(r, code.k, code.q)
-                cw = [0] * code.n
-                for i, m in enumerate(msg):
-                    if m:
-                        row = grows[i]
-                        for j in range(code.n):
-                            if row[j]:
-                                cw[j] = add(cw[j], mul(m, row[j]))
-                counts[sum(1 for c in cw if c)] += code.q - 1
+            for word in _projective_walk(code, None):
+                counts[code.n - word.count(0)] += code.q - 1
     return tuple((w, c) for w, c in enumerate(counts) if c)
 
 
@@ -435,7 +371,6 @@ def symplectic_weight(a: Sequence[int], b: Sequence[int]) -> int:
 
 def _clear_caches() -> None:
     _MIN_CACHE.clear()
-    _DIFF_CACHE.clear()
     _DIST_CACHE.clear()
 
 

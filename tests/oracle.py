@@ -1,12 +1,14 @@
-"""Brute-force GF(2) linear-algebra oracles for the test suite.
+"""Brute-force linear-algebra oracles for the test suite.
 
-Codeword sets are built by folding the span of generator rows (bitmask
-ints), duals by nullspace computation on those rows: everything here is
-independent of the defining-set calculus under test.
+GF(2) codeword sets are built by folding the span of generator rows
+(bitmask ints), duals by nullspace computation on those rows; GF(q) spans
+multiply every message with the generator rows. Everything here is
+independent of the defining-set calculus and the weight kernels under test.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 
@@ -64,3 +66,20 @@ def weights_of(words: frozenset[int]) -> dict[int, int]:
     for w in words:
         counts[w.bit_count()] = counts.get(w.bit_count(), 0) + 1
     return counts
+
+
+def span_q(rows: Sequence[Sequence[int]], n: int, field) -> frozenset[tuple[int, ...]]:
+    """Every message times the generator rows, by plain GF(q) arithmetic."""
+    words = set()
+    for msg in itertools.product(range(field.q), repeat=len(rows)):
+        word = [0] * n
+        for m, row in zip(msg, rows):
+            if m:
+                for j, x in enumerate(row):
+                    word[j] = field.add_i(word[j], field.mul_i(m, x))
+        words.add(tuple(word))
+    return frozenset(words)
+
+
+def weight_q(word: Sequence[int]) -> int:
+    return sum(1 for x in word if x)

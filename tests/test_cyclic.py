@@ -10,6 +10,8 @@ import oracle
 from asymqec.cyclic import (
     bch,
     code_sum,
+    consecutive_run_bound,
+    consecutive_run_bound_mask,
     contains,
     from_defining_set,
     full_space,
@@ -233,3 +235,16 @@ def test_designed_distance_bound():
     assert full_space(15, 2).designed_distance_bound == 1
     assert zero_code(15, 2).designed_distance_bound == 16
     assert bch(15, 2, 3).dual().designed_distance_bound == 8  # run 0..6
+
+
+def test_consecutive_run_bound_against_brute_force():
+    for n in range(1, 13):
+        for mask in range(1 << n):
+            members = frozenset(s for s in range(n) if mask >> s & 1)
+            longest = max(
+                (next((r for r in range(n) if (s + r) % n not in members), n)
+                 for s in members),
+                default=0,
+            )
+            assert consecutive_run_bound_mask(n, mask) == longest + 1
+            assert consecutive_run_bound(n, members) == longest + 1

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from asymqec.search import all_cyclic_codes, search
+
+# the package re-exports the function `search` under the module's name
+search_module = importlib.import_module("asymqec.search")
 
 
 def test_all_cyclic_codes_counts():
@@ -59,3 +64,18 @@ def test_search_routes_return_expected_members():
 def test_search_rejects_unknown_route():
     with pytest.raises(ValueError, match="unknown route"):
         search(15, 2, "teleport")
+
+
+@pytest.mark.parametrize("route,derivation", [
+    ("css", "css_aqec"),
+    ("extend-poly", "extend_by_polynomial"),
+    ("extend-set", "extend_by_defining_set"),
+    ("subsystem", "subsystem_euclidean"),
+])
+def test_search_propagates_derivation_errors(monkeypatch, route, derivation):
+    def broken(*args, **kwargs):
+        raise ValueError("derivation bug")
+
+    monkeypatch.setattr(search_module, derivation, broken)
+    with pytest.raises(ValueError, match="derivation bug"):
+        search(7, 2, route)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -224,3 +225,26 @@ def test_generic_difference_kernel():
     assert outer.contains(inner)
     report = min_weight_difference(outer, inner)
     assert report.value == 2
+
+
+@pytest.mark.parametrize("n,q", [(8, 3), (4, 3), (5, 4), (9, 4)])
+def test_qary_kernels_against_brute_force_span(n, q):
+    codes = [c for c in all_cyclic_codes(n, q) if q**c.k <= 4**6]
+    spans = {c: oracle.span_q(generator_matrix(c).rows, n, c.field) for c in codes}
+    for code in codes:
+        if code.k == 0:
+            continue
+        weights = [oracle.weight_q(w) for w in spans[code]]
+        expected = min(w for w in weights if w)
+        for early in (True, False):
+            fresh()
+            assert min_weight(code, early_stop=early).value == expected
+        assert weight_distribution(code) == tuple(sorted(Counter(weights).items()))
+    for outer in codes:
+        for inner in codes:
+            if inner == outer or not outer.contains(inner):
+                continue
+            expected = min(oracle.weight_q(w) for w in spans[outer] - spans[inner])
+            for early in (True, False):
+                fresh()
+                assert min_weight_difference(outer, inner, early_stop=early).value == expected
