@@ -2,12 +2,17 @@
 
 The core construction takes nested classical codes (the dual of the Z-side
 code inside the X-side code) and produces an asymmetric CSS code whose two
-distances are minima over codeword set differences. Two extension routes
-build the partner code from a single starting code: multiplying its
-generator by a divisor of the parity polynomial, or removing a coset block
-from the dual's defining set. Both routes assert the ground-truth logical
-dimension (the block size b) and attach a note recomputing the commonly
-stated closed forms 2k-b-n / 2k+b-n, which disagree with it.
+distances are minima over codeword set differences. Every route runs
+through that one core. Two extension routes build the partner code from a
+single starting code: multiplying its generator by a divisor of the parity
+polynomial, or removing a coset block from the dual's defining set. Both
+routes assert the ground-truth logical dimension (the block size b) and
+attach a note recomputing the commonly stated closed forms 2k-b-n /
+2k+b-n, which disagree with it. The Euclidean subsystem code of C1, with
+C2 = C1 intersect C1-dual, is the CSS pair (C2-dual, C1-dual): its sides
+wt(C2-dual minus C1) and wt(C1-dual minus C2) are the two CSS sides, and
+the core's logical dimension n - k1 - k2 is the subsystem's k. The core
+alone orders the two sides into dz/dx (see css_aqec).
 
 Logical dimension is always computed from actual defining-set sizes, three
 independent ways; disagreement raises InternalConsistencyError rather than
@@ -143,26 +148,25 @@ def _evaluate_purity(side1: WeightReport, side2: WeightReport,
     return side1.value == d1.value and side2.value == d2.value
 
 
-def css_aqec(c1: CyclicCode, c2: CyclicCode, budget: int = DEFAULT_BUDGET, *,
-             purity: bool | None = None) -> AqecParams:
-    """Asymmetric CSS code from a nested pair: requires dual(C2) inside C1.
-
-    k is computed from the actual dimensions (three ways, which must agree).
-    dx/dz are the min/max of the two set-difference weights when both are
-    exact; if a side exceeds the budget it degrades to its consecutive-root
-    bound, flagged bound-only, with the C1 side reported as dx and the C2
-    side as dz. Purity is evaluated by default only for n <= 31.
-    """
-    if (c1.n, c1.q) != (c2.n, c2.q):
-        raise ValueError(
-            f"mismatched codes: (n={c1.n}, q={c1.q}) vs (n={c2.n}, q={c2.q})"
-        )
+def _nested_dual(c1: CyclicCode, c2: CyclicCode) -> CyclicCode:
+    """dual(C2), after checking that it lies inside C1."""
     c2perp = c2.dual()
     if not c1.contains(c2perp):
         raise NotNested(
             f"dual of {c2.descriptor()} is not contained in {c1.descriptor()}"
         )
-    n, q = c1.n, c1.q
+    return c2perp
+
+
+def _css(c1: CyclicCode, c2: CyclicCode, budget: int,
+         purity: bool | None) -> tuple[int, WeightReport, WeightReport, bool | None]:
+    """(k, dz, dx, pure) of the nested pair; the ordering rule lives here."""
+    if (c1.n, c1.q) != (c2.n, c2.q):
+        raise ValueError(
+            f"mismatched codes: (n={c1.n}, q={c1.q}) vs (n={c2.n}, q={c2.q})"
+        )
+    c2perp = _nested_dual(c1, c2)
+    n = c1.n
     k = c1.k + c2.k - n
     k_dims = c1.k - c2perp.k
     k_sets = len(c2perp.T.members) - len(c1.T.members)
@@ -171,19 +175,34 @@ def css_aqec(c1: CyclicCode, c2: CyclicCode, budget: int = DEFAULT_BUDGET, *,
             f"dimension routes disagree: k1+k2-n={k}, dim difference={k_dims}, "
             f"set difference={k_sets}"
         )
-    c1perp = c1.dual()
     side1 = _difference_side(c1, c2perp, budget)  # X-side weight
-    side2 = _difference_side(c2, c1perp, budget)  # Z-side weight
-    if side1.is_exact and side2.is_exact:
-        dx, dz = sorted((side1, side2), key=lambda r: r.value)
-    else:
-        dx, dz = side1, side2
-    want_purity = purity if purity is not None else n <= PURITY_AUTO_LIMIT
-    pure = (
-        _evaluate_purity(side1, side2, c1, c2, budget)
-        if want_purity
-        else None
-    )
+    side2 = _difference_side(c2, c1.dual(), budget)  # Z-side weight
+    # a bound ranks after an exact side of equal value, and dz is only as
+    # exact as dx: an unknown smaller side could otherwise undercut dx
+    dx, dz = sorted((side1, side2), key=lambda r: (r.value, not r.is_exact))
+    if not dx.is_exact:
+        dz = replace(dz, method="bound-only")
+    pure = None
+    if (purity if purity is not None else n <= PURITY_AUTO_LIMIT):
+        pure = _evaluate_purity(side1, side2, c1, c2, budget)
+    return k, dz, dx, pure
+
+
+def css_aqec(c1: CyclicCode, c2: CyclicCode, budget: int = DEFAULT_BUDGET, *,
+             purity: bool | None = None) -> AqecParams:
+    """Asymmetric CSS code from a nested pair: requires dual(C2) inside C1.
+
+    k is computed from the actual dimensions (three ways, which must agree).
+    dx/dz are the min/max of the two set-difference weights wt(C1 minus
+    C2-dual) and wt(C2 minus C1-dual). A side that exceeds the budget
+    degrades to its consecutive-root bound, flagged bound-only; sides are
+    then ordered by (value, bound-only last) and dz is a bound unless both
+    sides are exact, so dz >= dx and an exact dx is the true minimum. The
+    symmetric stabilizer corollary [[n, k, dx]] is noted when dx is exact.
+    Purity is evaluated by default only for n <= 31.
+    """
+    k, dz, dx, pure = _css(c1, c2, budget, purity)
+    n, q = c1.n, c1.q
     notes = ()
     if dx.is_exact:
         notes = (f"symmetric stabilizer corollary [[{n},{k},{dx.value}]]_{q}",)
@@ -195,11 +214,7 @@ def build_stabilizer_matrix(c1: CyclicCode, c2: CyclicCode) -> tuple[CheckMatrix
 
     Valid only for a nested pair; the blocks are verified to commute.
     """
-    c2perp = c2.dual()
-    if not c1.contains(c2perp):
-        raise NotNested(
-            f"dual of {c2.descriptor()} is not contained in {c1.descriptor()}"
-        )
+    _nested_dual(c1, c2)
     hx = parity_check_matrix(c1)
     hz = parity_check_matrix(c2)
     if not check_css_commutativity(hx, hz):
@@ -216,14 +231,22 @@ def check_css_commutativity(h1: CheckMatrix, h2: CheckMatrix) -> bool:
 # The two extension constructions
 # ---------------------------------------------------------------------------
 
-def _formula_note(kind: str, k1: int, b: int, n: int, k_true: int) -> str:
-    minus = 2 * k1 - b - n
-    plus = 2 * k1 + b - n
-    return (
-        f"{kind}: closed forms 2k-b-n = {minus} and 2k+b-n = {plus} "
-        f"disagree with the computed logical dimension {k_true} = b; "
-        f"reporting the computed value"
+def _extension_params(c1: CyclicCode, c2: CyclicCode, b: int, size: str, kind: str,
+                      route: str, budget: int, purity: bool | None,
+                      extra_notes: tuple[str, ...] = ()) -> AqecParams:
+    """css_aqec of an extension pair, asserting k = b and noting the closed forms."""
+    params = css_aqec(c1, c2, budget, purity=purity)
+    if params.k != b:
+        raise InternalConsistencyError(
+            f"logical dimension {params.k} != {size} = {b} on the {kind} route"
+        )
+    n = c1.n
+    note = (
+        f"{kind}-extension: closed forms 2k-b-n = {2 * c1.k - b - n} and "
+        f"2k+b-n = {2 * c1.k + b - n} disagree with the computed logical "
+        f"dimension {b} = b; reporting the computed value"
     )
+    return replace(params, route=route, notes=params.notes + (note,) + extra_notes)
 
 
 def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
@@ -257,15 +280,8 @@ def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
     if c2perp.generator_polynomial != f * c1.generator_polynomial:
         raise InternalConsistencyError("extended generator does not match f * g1")
     c2 = c2perp.dual()
-    params = css_aqec(c1, c2, budget, purity=purity)
-    b = int(f.degree)
-    if params.k != b:
-        raise InternalConsistencyError(
-            f"logical dimension {params.k} != deg f = {b} on the generator route"
-        )
-    note = _formula_note("generator-extension", c1.k, b, n, params.k)
-    params = replace(params, route="extend-poly", notes=params.notes + (note,))
-    return c2, params
+    return c2, _extension_params(c1, c2, int(f.degree), "deg f", "generator",
+                                 "extend-poly", budget, purity)
 
 
 def _roots_of(f: Polynomial, code: CyclicCode) -> frozenset[int]:
@@ -305,21 +321,13 @@ def extend_by_defining_set(c1: CyclicCode, members: Sequence[int],
         raise InternalConsistencyError(
             "defining set of the dual partner is not T(C1) union T union -T"
         )
-    if not c1.contains(c2perp):
-        raise NotNested(f"derived partner of {c1.descriptor()} fails the nesting premise")
-    params = css_aqec(c1, c2, budget, purity=purity)
     b = len(tt)
-    if params.k != b:
-        raise InternalConsistencyError(
-            f"logical dimension {params.k} != |T union -T| = {b} on the defining-set route"
-        )
-    note = _formula_note("defining-set-extension", c1.k, b, n, params.k)
     dim_note = (
         f"defining-set-extension: dim C2 computed as n-k+b = {n - c1.k + b} "
         f"(not k+b = {c1.k + b}); dim C2-dual = k-b = {c1.k - b}"
     )
-    params = replace(params, route="extend-set", notes=params.notes + (note, dim_note))
-    return c2, params
+    return c2, _extension_params(c1, c2, b, "|T union -T|", "defining-set",
+                                 "extend-set", budget, purity, (dim_note,))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +360,10 @@ def subsystem_euclidean(c1: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     Returns [[n, n-(k1+k2), k1-k2, dz/dx]] and the role-swapped
     [[n, k1-k2, n-(k1+k2), dz/dx]]. Since k2 <= n-k1 always, k1+k2 = n is
     the degenerate boundary and is reported with zero logical dimension.
+    The distances and purity are those of the CSS pair (C2-dual, C1-dual),
+    nested because C1 lies in C2-dual: its sides are wt(C2-dual minus C1)
+    and wt(C1-dual minus C2), ordered by the css_aqec rule, and its logical
+    dimension is n-(k1+k2).
     """
     n, q = c1.n, c1.q
     c1perp = c1.dual()
@@ -359,17 +371,8 @@ def subsystem_euclidean(c1: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     k1, k2 = c1.k, c2.k
     if k1 + k2 > n:
         raise InternalConsistencyError("dim(C1) + dim(C1 intersect C1-dual) exceeded n")
-    c2perp = c2.dual()
-    side_a = _difference_side(c2perp, c1, budget)   # wt(C2-dual minus C1)
-    side_b = _difference_side(c1perp, c2, budget)   # wt(C1-dual minus C2)
-    if side_a.is_exact and side_b.is_exact:
-        dx, dz = sorted((side_a, side_b), key=lambda r: r.value)
-    else:
-        dx, dz = sorted((side_a, side_b), key=lambda r: (r.value, not r.is_exact))
-    pure: bool | None = None
-    if (purity if purity is not None else n <= PURITY_AUTO_LIMIT):
-        pure = _evaluate_purity(side_a, side_b, c2perp, c1perp, budget)
-    k, r = n - (k1 + k2), k1 - k2
+    k, dz, dx, pure = _css(c2.dual(), c1perp, budget, purity)
+    r = k1 - k2
     notes = (f"intersection code C2 = C1 ^ C1-dual is [{n},{k2}]_{q}",)
     first = SubsystemParams(n, q, k, r, dz, dx, pure, c1, c2, "subsystem-euclidean", notes)
     swapped = SubsystemParams(n, q, r, k, dz, dx, pure, c1, c2, "subsystem-euclidean", notes)

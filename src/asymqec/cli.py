@@ -35,7 +35,7 @@ from .cyclic import CyclicCode, parse_code, parse_residue_set
 from .errors import BudgetExceeded, InternalConsistencyError
 from .polyring import coset_of, cyclotomic_cosets, minimal_polynomial, parse_poly, render_poly
 from .search import DEFAULT_MAX_CODES, ROUTES, search
-from .weights import DEFAULT_BUDGET, min_weight
+from .weights import DEFAULT_BUDGET, bound_only_report, min_weight
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -56,20 +56,12 @@ def _emit_csv(rows: list[dict], fieldnames: list[str]) -> None:
 
 
 def _params_flat(p: AqecParams | SubsystemParams) -> dict:
-    return {
-        "n": p.n,
-        "q": p.q,
-        "k": p.k,
-        "r": getattr(p, "r", ""),
-        "dz": p.dz.value,
-        "dz_method": p.dz.method,
-        "dx": p.dx.value,
-        "dx_method": p.dx.method,
-        "pure": "" if p.pure is None else p.pure,
-        "c1": p.c1.descriptor(),
-        "c2": p.c2.descriptor(),
-        "route": p.route,
-    }
+    """as_dict with dz/dx split into value and method; notes are not a column."""
+    row = p.as_dict()
+    for side in ("dz", "dx"):
+        report = row.pop(side)
+        row[side], row[f"{side}_method"] = report["value"], report["method"]
+    return row
 
 
 _PARAMS_FIELDS = ["n", "q", "k", "r", "dz", "dz_method", "dx", "dx_method",
@@ -145,7 +137,7 @@ def _code_report(code: CyclicCode, args) -> dict:
         except BudgetExceeded:
             if args.exact:
                 raise
-            report["d"] = {"value": code.designed_distance_bound, "method": "bound-only"}
+            report["d"] = bound_only_report(code, args.budget).as_dict()
     return report
 
 

@@ -245,15 +245,8 @@ def min_weight(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     if space > budget:
         dual_space = code.q ** (code.n - code.k)
         if dual_space <= budget:
-            key = (code, "mw")
-            report = _MIN_CACHE.get(key)
-            if report is None:
-                dist = weight_distribution(code, budget)
-                value = min(w for w, c in dist if w > 0)
-                report = WeightReport(value, "macwilliams", dual_space - 1, budget)
-                with _W_LOCK:
-                    _MIN_CACHE[key] = report
-            return replace(report, budget=budget)
+            value = min(w for w, c in weight_distribution(code, budget) if w > 0)
+            return WeightReport(value, "macwilliams", dual_space - 1, budget)
         raise BudgetExceeded(space, budget)
     return _exhaustive(code, None, budget, early_stop)
 

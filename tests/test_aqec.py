@@ -317,3 +317,57 @@ def test_three_way_dimension_agreement_runs_on_all_nested_pairs_n15():
 def test_dz_dx_ordering_exact_pairs():
     params = css_aqec(bch(31, 2, 3), bch(31, 2, 11))
     assert params.dz.value == 11 and params.dx.value == 3
+
+
+def test_css_mixed_exactness_orders_by_value_and_drops_false_corollary():
+    # the C1 side is exact (6) while the C2 side degrades to its bound (2)
+    c1 = from_defining_set(15, 2, {0, 1, 2, 3, 4, 6, 8, 9, 12})
+    c2 = from_defining_set(15, 2, {5, 10})
+    params = css_aqec(c1, c2, budget=4096)
+    assert params.label() == "[[15,4,>=6/>=2]]_2"
+    assert params.dz.method == params.dx.method == "bound-only"
+    assert not any("corollary" in note for note in params.notes)
+    full = css_aqec(c1, c2)
+    assert full.label() == "[[15,4,6/2]]_2"
+    assert "symmetric stabilizer corollary [[15,4,2]]_2" in full.notes
+    # on a tie the exact side is dx: an exact 2 is the true minimum
+    tie = css_aqec(from_defining_set(15, 2, {3, 6, 9, 12}), c2, budget=4096)
+    assert tie.label() == "[[15,9,>=2/2]]_2"
+    assert "symmetric stabilizer corollary [[15,9,2]]_2" in tie.notes
+
+
+def test_subsystem_mixed_exactness_marks_dz_as_bound():
+    c1 = from_defining_set(13, 3, {0, 1, 3, 9})
+    first, swapped = subsystem_euclidean(c1, budget=256)
+    assert first.label() == "[[13,1,6,>=7/>=2]]_3"
+    assert swapped.label() == "[[13,6,1,>=7/>=2]]_3"
+    assert subsystem_euclidean(c1)[0].label() == "[[13,1,6,7/3]]_3"
+
+
+def _check_ordering_rule(small, full):
+    assert small.dz.value >= small.dx.value
+    assert small.dx.is_exact or not small.dz.is_exact
+    assert full.dz.is_exact and full.dx.is_exact
+    for side, truth in ((small.dz, full.dz), (small.dx, full.dx)):
+        assert side.value == truth.value if side.is_exact else side.value <= truth.value
+
+
+def test_ordering_rule_holds_for_every_derivation_n15_at_small_budget():
+    codes = all_cyclic_codes(15, 2)
+    budget = 1 << 12
+    checked = 0
+    for c1, c2 in itertools.product(codes, repeat=2):
+        if c1.k == 0 or c2.k == 0 or not c1.contains(c2.dual()):
+            continue
+        small, full = css_aqec(c1, c2, budget), css_aqec(c1, c2)
+        _check_ordering_rule(small, full)
+        corollary = [note for note in small.notes if "corollary" in note]
+        assert corollary == (list(full.notes) if small.dx.is_exact else [])
+        checked += 1
+    for c1 in codes:
+        if c1.k in (0, 15):
+            continue
+        for small, full in zip(subsystem_euclidean(c1, budget), subsystem_euclidean(c1)):
+            _check_ordering_rule(small, full)
+            checked += 1
+    assert checked > 250

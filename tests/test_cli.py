@@ -235,3 +235,63 @@ def test_modulus_override_via_environment(tmp_path):
         env=dict(os.environ, ASYMQEC_MODULUS_TABLE=str(tmp_path / "missing.txt")),
     )
     assert bad.returncode != 0
+
+
+def test_derive_css_text(capsys):
+    code, out, _ = run(["derive", "css", "--c1", "bch:n=15,q=2,delta=3",
+                        "--c2", "bch:n=15,q=2,delta=5"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "[[15,3,5/3]]_2",
+        "  c1: q=2 n=15 T={1,2,4,8}   [15,11]_2",
+        "  c2: q=2 n=15 T={1,2,3,4,6,8,9,12}   [15,7]_2",
+        "  dz: 5 (exhaustive)   dx: 3 (exhaustive)",
+        "  pure: True",
+        "  corrects: 1 flip / 2 phase errors",
+        "  route: css",
+        "  note: symmetric stabilizer corollary [[15,3,3]]_2",
+    ]
+
+
+def test_derive_subsystem_text(capsys):
+    code, out, _ = run(["derive", "subsystem", "--c1", "bch:n=15,q=2,delta=5"], capsys)
+    assert code == 0
+    block = [
+        "  c1: q=2 n=15 T={1,2,3,4,6,8,9,12}   [15,7]_2",
+        "  c2: q=2 n=15 T={0,1,2,3,4,5,6,8,9,10,12}   [15,4]_2",
+        "  dz: 4 (exhaustive)   dx: 3 (exhaustive)",
+        "  pure: True",
+        "  corrects: 1 flip / 1 phase errors",
+        "  route: subsystem-euclidean",
+        "  note: intersection code C2 = C1 ^ C1-dual is [15,4]_2",
+    ]
+    assert out.splitlines() == ["[[15,4,3,4/3]]_2", *block, "[[15,3,4,4/3]]_2", *block]
+
+
+def test_derive_text_bound_only(capsys):
+    code, out, _ = run(["derive", "css", "--c1", "bch:n=127,q=2,delta=5",
+                        "--c2", "bch:n=127,q=2,delta=15"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "[[127,64,>=15/>=5]]_2"
+    assert "  dz: >=15 (bound-only)   dx: >=5 (bound-only)" in lines
+    assert "  corrects: 2 flip / 7 phase errors (lower bounds)" in lines
+    assert not any("pure" in line or "note" in line for line in lines)
+
+
+def test_derive_csv_exact_bytes(capsys):
+    code, out, _ = run(["derive", "subsystem", "--c1", "bch:n=15,q=2,delta=5",
+                        "--format", "csv"], capsys)
+    assert code == 0
+    descriptors = '"q=2 n=15 T={1,2,3,4,6,8,9,12}","q=2 n=15 T={0,1,2,3,4,5,6,8,9,10,12}"'
+    assert out == (
+        "n,q,k,r,dz,dz_method,dx,dx_method,pure,c1,c2,route\r\n"
+        f"15,2,4,3,4,exhaustive,3,exhaustive,True,{descriptors},subsystem-euclidean\r\n"
+        f"15,2,3,4,4,exhaustive,3,exhaustive,True,{descriptors},subsystem-euclidean\r\n"
+    )
+    code, out, _ = run(["derive", "css", "--c1", "bch:n=127,q=2,delta=5",
+                        "--c2", "bch:n=127,q=2,delta=15", "--format", "csv"], capsys)
+    assert code == 0
+    row = out.splitlines()[1]
+    assert row.startswith("127,2,64,,15,bound-only,5,bound-only,,")  # no r, purity unknown
+    assert row.endswith(",css")
