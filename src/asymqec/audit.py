@@ -127,10 +127,9 @@ def _candidate_sets(n: int, q: int, target: int,
 
 
 def _resolve_narrow_sense(n: int, q: int, k: int, d: int) -> CyclicCode | None:
-    try:
-        code = bch(n, q, d)
-    except ValueError:
+    if not 2 <= d <= n:
         return None
+    code = bch(n, q, d)
     return code if code.k == k else None
 
 

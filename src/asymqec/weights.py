@@ -1,21 +1,25 @@
 """Exhaustive minimum-weight search, weight distributions and transforms.
 
-Every search is one serial scan over the message indices 1..total. The
-binary kernel walks all 2^k messages in Gray-code order, re-encoding
-incrementally (one row XOR per step) with codewords held as integer
-bitmasks; set-difference searches additionally maintain the syndrome of the
-inner code's parity matrix the same way, one precomputed XOR per step. For
-q > 2 one representative per projective class is walked (weights and
-inner-membership are scalar-invariant): each step adds one precomputed
-scaled generator row per changed message digit to a word updated in place,
-and each row carries its syndrome against the inner parity matrix, so a
-word lies outside the inner code exactly when its syndrome part is nonzero.
+Every search is one serial scan over message indices. A set difference
+C_outer minus C_inner is scanned over a nested basis of the outer code: the
+rows x^j g_outer for j < c = k_outer - k_inner, then the generator rows of
+C_inner. Nesting means g_outer divides g_inner, so these rows span C_outer,
+and a word lies outside C_inner exactly when one of its first c message
+digits is nonzero. A plain minimum weight is the case with no inner code,
+c = k. The binary kernel walks all 2^k messages in Gray-code order,
+re-encoding incrementally (one row XOR per step) with codewords held as
+integer bitmasks, and flags the first c digits the same way. For q > 2 one
+representative per projective class is walked (weights and
+inner-membership are scalar-invariant), only those with their leading digit
+below c, so no word of the inner code is generated: each step adds one
+precomputed scaled row per changed message digit to a word updated in place.
 
 A search may stop early once it finds a word whose weight equals the
 consecutive-root lower bound (the result is then still exact). The reported
 `enumerated` count is the message index at which the scan stopped, rounded
 up to a multiple of CHUNK = 2^16 and capped at the message count; a scan
-that did not stop early reports every message. The `workers` keyword of
+that did not stop early reports every message it walked: 2^k - 1 over
+GF(2), (q^k_outer - q^k_inner)/(q - 1) for q > 2. The `workers` keyword of
 `min_weight` and `min_weight_difference` is accepted and ignored.
 
 Set differences: wt(C_outer minus C_inner) with C_inner equal to C_outer is
@@ -32,7 +36,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from . import galois
-from .cyclic import CyclicCode, generator_matrix, parity_check_matrix
+from .cyclic import CyclicCode, generator_matrix
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
 
 #: default cap on codeword enumerations
@@ -77,25 +81,13 @@ def bound_only_report(code: CyclicCode, budget: int) -> WeightReport:
 # or None); lb = 0 never stops a scan early
 # ---------------------------------------------------------------------------
 
-def _binary_syndromes(rows: Sequence[int], inner: CyclicCode) -> list[int]:
-    checks = parity_check_matrix(inner).bitmask_rows()
-    syns = []
-    for row in rows:
-        s = 0
-        for j, h in enumerate(checks):
-            if (row & h).bit_count() & 1:
-                s |= 1 << j
-        syns.append(s)
-    return syns
-
-
-def _scan_binary(rows: Sequence[int], syns: Sequence[int] | None, total: int,
+def _scan_binary(rows: Sequence[int], flags: Sequence[int] | None, total: int,
                  lb: int) -> tuple[int, int | None]:
-    """Gray walk over messages 1..total; with `syns`, words in the inner code are skipped."""
+    """Gray walk over messages 1..total; with `flags`, words whose flag is 0 are skipped."""
     cw = 0
-    syn = 0
+    flag = 0
     best = _INF
-    if syns is None:
+    if flags is None:
         for t in range(1, total + 1):
             cw ^= rows[(t & -t).bit_length() - 1]
             w = cw.bit_count()
@@ -107,8 +99,8 @@ def _scan_binary(rows: Sequence[int], syns: Sequence[int] | None, total: int,
         for t in range(1, total + 1):
             j = (t & -t).bit_length() - 1
             cw ^= rows[j]
-            syn ^= syns[j]
-            if syn:
+            flag ^= flags[j]
+            if flag:
                 w = cw.bit_count()
                 if w < best:
                     best = w
@@ -117,23 +109,18 @@ def _scan_binary(rows: Sequence[int], syns: Sequence[int] | None, total: int,
     return best, None
 
 
-def _projective_walk(code: CyclicCode, inner: CyclicCode | None) -> Iterator[list[int]]:
-    """Yield the codeword of every projective-class representative, in order.
+def _projective_walk(field: galois.Field, rows: Sequence[Sequence[int]],
+                     leads: int) -> Iterator[list[int]]:
+    """Yield the word of every projective-class representative, in order.
 
-    Representatives have leading digit 1 at position `lead` (0..k-1), the
+    Representatives have leading digit 1 at position `lead` (0..leads-1), the
     later digits counted base q with the last position fastest. The yielded
-    list is one word updated in place: n coordinates, then the syndrome
-    against the parity matrix of `inner` (absent when inner is None).
+    list is one word updated in place.
     """
-    field = code.field
     add, mul, sub = field.add_i, field.mul_i, field.sub_i
-    q, k, xor = code.q, code.k, field.p == 2
-    ext = generator_matrix(code).rows
-    if inner is not None:
-        checks = parity_check_matrix(inner)
-        ext = [row + checks.syndrome(row) for row in ext]
+    q, k, xor = field.q, len(rows), field.p == 2
     scaled: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    word = [0] * len(ext[0])
+    word = [0] * len(rows[0])
     digits = [0] * k
 
     def set_digit(i: int, value: int) -> None:
@@ -141,7 +128,7 @@ def _projective_walk(code: CyclicCode, inner: CyclicCode | None) -> Iterator[lis
         digits[i] = value
         step = scaled.get((i, c))
         if step is None:
-            step = [(j, mul(c, x)) for j, x in enumerate(ext[i]) if c and x]
+            step = [(j, mul(c, x)) for j, x in enumerate(rows[i]) if c and x]
             scaled[(i, c)] = step
         if xor:
             for j, x in step:
@@ -150,7 +137,7 @@ def _projective_walk(code: CyclicCode, inner: CyclicCode | None) -> Iterator[lis
             for j, x in step:
                 word[j] = add(word[j], x)
 
-    for lead in range(k):
+    for lead in range(leads):
         if lead:
             set_digit(lead - 1, 0)
         set_digit(lead, 1)
@@ -169,15 +156,13 @@ def _projective_walk(code: CyclicCode, inner: CyclicCode | None) -> Iterator[lis
                 pos = k - 1
 
 
-def _scan_qary(code: CyclicCode, inner: CyclicCode | None,
+def _scan_qary(field: galois.Field, rows: Sequence[Sequence[int]], leads: int,
                lb: int) -> tuple[int, int | None]:
-    """Projective walk over messages 1..total; with `inner`, its words are skipped."""
-    n = code.n
+    """Projective walk over the representatives led below `leads`."""
+    n = len(rows[0])
     best = _INF
-    for t, word in enumerate(_projective_walk(code, inner), 1):
-        if inner is not None and not any(word[n:]):
-            continue
-        w = n - word[:n].count(0)
+    for t, word in enumerate(_projective_walk(field, rows, leads), 1):
+        w = n - word.count(0)
         if w < best:
             best = w
             if best <= lb:
@@ -202,18 +187,28 @@ def _total_messages(code: CyclicCode) -> int:
 
 def _exhaustive(outer: CyclicCode, inner: CyclicCode | None, budget: int,
                 early_stop: bool) -> WeightReport:
-    """Scan every message of `outer`, skipping words of `inner` when given."""
+    """Scan `outer` over its nested basis, skipping the words of `inner` when given."""
     key = (outer, inner, early_stop)
     report = _MIN_CACHE.get(key)
     if report is None:
         lb = outer.designed_distance_bound if early_stop else 0
-        total = _total_messages(outer)
-        if outer.q == 2:
-            rows = generator_matrix(outer).bitmask_rows()
-            syns = _binary_syndromes(rows, inner) if inner is not None else None
-            best, stop = _scan_binary(rows, syns, total, lb)
+        q, k = outer.q, outer.k
+        # nested basis: rows x^j g_outer for j < c, then the rows of `inner`
+        c = k if inner is None else k - inner.k
+        if q == 2:
+            rows = generator_matrix(outer).bitmask_rows()[:c]
+            flags = None
+            if inner is not None:
+                rows += generator_matrix(inner).bitmask_rows()
+                flags = [1 << j for j in range(c)] + [0] * inner.k
+            total = (1 << k) - 1
+            best, stop = _scan_binary(rows, flags, total, lb)
         else:
-            best, stop = _scan_qary(outer, inner, lb)
+            rows = generator_matrix(outer).rows[:c]
+            if inner is not None:
+                rows += generator_matrix(inner).rows
+            total = (q**k - q**(k - c)) // (q - 1)
+            best, stop = _scan_qary(outer.field, rows, c, lb)
         if best < lb:
             raise InternalConsistencyError(
                 f"found weight {best} below the proven lower bound {lb}"
@@ -246,7 +241,7 @@ def min_weight(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
         dual_space = code.q ** (code.n - code.k)
         if dual_space <= budget:
             value = min(w for w, c in weight_distribution(code, budget) if w > 0)
-            return WeightReport(value, "macwilliams", dual_space - 1, budget)
+            return WeightReport(value, "macwilliams", _total_messages(code.dual()), budget)
         raise BudgetExceeded(space, budget)
     return _exhaustive(code, None, budget, early_stop)
 
@@ -284,18 +279,18 @@ def weight_distribution(code: CyclicCode,
     dual side followed by a MacWilliams transform; BudgetExceeded when
     neither fits.
     """
+    space = code.q**code.k
+    dual_space = code.q ** (code.n - code.k)
+    if min(space, dual_space) > budget:
+        raise BudgetExceeded(min(space, dual_space), budget)
     cached = _DIST_CACHE.get(code)
     if cached is not None:
         return cached
-    space = code.q**code.k
-    dual_space = code.q ** (code.n - code.k)
     if space <= budget:
         dist = _distribution_direct(code)
-    elif dual_space <= budget:
+    else:
         dual_dist = _distribution_direct(code.dual())
         dist = macwilliams_transform(dual_dist, code.n, code.q, code.n - code.k)
-    else:
-        raise BudgetExceeded(min(space, dual_space), budget)
     with _W_LOCK:
         _DIST_CACHE[code] = dist
     return dist
@@ -312,7 +307,7 @@ def _distribution_direct(code: CyclicCode) -> tuple[tuple[int, int], ...]:
                 cw ^= rows[(t & -t).bit_length() - 1]
                 counts[cw.bit_count()] += 1
         else:
-            for word in _projective_walk(code, None):
+            for word in _projective_walk(code.field, generator_matrix(code).rows, code.k):
                 counts[code.n - word.count(0)] += code.q - 1
     return tuple((w, c) for w, c in enumerate(counts) if c)
 

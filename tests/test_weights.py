@@ -9,7 +9,7 @@ import pytest
 
 import oracle
 import asymqec.weights
-from asymqec.cyclic import bch, full_space, generator_matrix, repetition, rs, zero_code
+from asymqec.cyclic import bch, full_space, generator_matrix, hamming, repetition, rs, zero_code
 from asymqec.errors import BudgetExceeded, NotNested
 from asymqec.search import all_cyclic_codes
 from asymqec.weights import (
@@ -73,18 +73,20 @@ def test_min_weight_difference_requires_nesting():
 def test_min_weight_difference_brute_force_nested_pairs_n15():
     codes = all_cyclic_codes(15, 2)
     spans = {c: oracle.span(generator_matrix(c).bitmask_rows()) for c in codes}
-    checked = 0
-    for outer, inner in itertools.product(codes, repeat=2):
-        if outer.k == 0 or inner.k == 0 or inner.k >= outer.k:
-            continue
-        if not outer.contains(inner):
-            continue
-        diff = [w.bit_count() for w in spans[outer] - spans[inner]]
-        assert min_weight_difference(outer, inner).value == min(diff)
-        # subset minimum can only rise
-        assert min(diff) >= min_weight(outer).value
-        checked += 1
-    assert checked > 30
+    for early in (True, False):
+        fresh()
+        checked = 0
+        for outer, inner in itertools.product(codes, repeat=2):
+            if outer.k == 0 or inner.k == 0 or inner.k >= outer.k:
+                continue
+            if not outer.contains(inner):
+                continue
+            diff = [w.bit_count() for w in spans[outer] - spans[inner]]
+            assert min_weight_difference(outer, inner, early_stop=early).value == min(diff)
+            # subset minimum can only rise
+            assert min(diff) >= min_weight(outer).value
+            checked += 1
+        assert checked > 30
 
 
 def test_budget_exceeded_carries_required_count():
@@ -99,6 +101,9 @@ def test_min_weight_macwilliams_fallback():
     report = min_weight(bch(31, 2, 3), budget=1 << 20)
     assert report.value == 3
     assert report.method == "macwilliams"
+    # over GF(3) the dual [13,3] side is walked projectively: (27 - 1) / 2 words
+    report = min_weight(hamming(3, 3), 27)
+    assert (report.value, report.method, report.enumerated) == (3, "macwilliams", 13)
 
 
 def test_weight_distribution_examples():
@@ -116,6 +121,18 @@ def test_weight_distribution_dual_route():
     assert min(w for w, _ in dist if w) == 3
     with pytest.raises(BudgetExceeded):
         weight_distribution(bch(31, 2, 7), budget=4)
+
+
+def test_weight_distribution_budget_ignores_cache():
+    fresh()
+    code = bch(31, 2, 7)  # [31,16]: 2^16 direct, 2^15 dual side
+    with pytest.raises(BudgetExceeded) as err:
+        weight_distribution(code, 16)
+    assert err.value.required == 2**15
+    weight_distribution(code)
+    with pytest.raises(BudgetExceeded) as err:
+        weight_distribution(code, 16)
+    assert err.value.required == 2**15
 
 
 def test_distribution_matches_brute_force_n15():
@@ -248,3 +265,6 @@ def test_qary_kernels_against_brute_force_span(n, q):
             for early in (True, False):
                 fresh()
                 assert min_weight_difference(outer, inner, early_stop=early).value == expected
+            # a full scan walks the projective classes outside the inner code only
+            report = min_weight_difference(outer, inner, early_stop=False)
+            assert report.enumerated == (q**outer.k - q**inner.k) // (q - 1)
