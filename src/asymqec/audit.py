@@ -18,12 +18,12 @@ Verdicts are deterministic across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .aqec import AqecParams, css_aqec
 from .cyclic import CyclicCode, bch, consecutive_run_bound_mask, from_defining_set
-from .polyring import CyclotomicCoset, cyclotomic_cosets
+from .polyring import CyclotomicCoset, coset_unions, cyclotomic_cosets, mask_residues
 from .weights import DEFAULT_BUDGET, min_weight
 
 #: exhaustive distance verification of searched candidates is capped here
@@ -101,29 +101,11 @@ class RowAudit:
         }
 
 
-def _candidate_sets(n: int, q: int, target: int,
-                    allowed: Sequence[CyclotomicCoset]) -> list[frozenset[int]]:
-    """All unions of `allowed` cosets with exactly `target` members,
-    ranked by falling designed-distance bound, then by members."""
-    masks: list[tuple[int, frozenset[int]]] = []
-
-    def rec(i: int, mask: int, members: frozenset[int], size: int) -> None:
-        if size == target:
-            masks.append((mask, members))
-            return
-        if i == len(allowed) or size > target:
-            return
-        coset_mask = 0
-        for s in allowed[i].members:
-            coset_mask |= 1 << s
-        rec(i + 1, mask, members, size)
-        rec(i + 1, mask | coset_mask, members | set(allowed[i].members),
-            size + len(allowed[i].members))
-
-    rec(0, 0, frozenset(), 0)
-    # falling designed bound; ties resolved by the residue bitmask
-    ranked = sorted(masks, key=lambda mm: (-consecutive_run_bound_mask(n, mm[0]), mm[0]))
-    return [members for _, members in ranked]
+def _candidate_sets(n: int, target: int, allowed: Sequence[CyclotomicCoset]) -> list[int]:
+    """Residue bitmasks of the unions of `allowed` cosets with exactly `target`
+    members, ranked by falling designed-distance bound, then by bitmask."""
+    masks = [mask for mask in coset_unions(allowed) if mask.bit_count() == target]
+    return sorted(masks, key=lambda mask: (-consecutive_run_bound_mask(n, mask), mask))
 
 
 def _resolve_narrow_sense(n: int, q: int, k: int, d: int) -> CyclicCode | None:
@@ -149,13 +131,13 @@ def _resolve_by_search(stated: tuple[int, int, int], q: int,
         f"{role}: no narrow-sense designed-distance construction has dimension {k}; "
         f"searching coset unions"
     )
-    member_sets = _candidate_sets(n, q, n - k, allowed)
+    masks = _candidate_sets(n, n - k, allowed)
     check_distance = q**k <= min(budget, _CANDIDATE_DISTANCE_CAP)
     if check_distance:
         candidates = [
             code
-            for members in member_sets
-            for code in (from_defining_set(n, q, members),)
+            for mask in masks
+            for code in (from_defining_set(n, q, mask_residues(mask)),)
             if min_weight(code, budget).value == d
         ]
         count = len(candidates)
@@ -165,11 +147,9 @@ def _resolve_by_search(stated: tuple[int, int, int], q: int,
             f"{role}: stated distance {d} of {label} not verifiable at this scale; "
             f"candidates ranked by designed-distance bound"
         )
-        candidates = (
-            [from_defining_set(n, q, member_sets[0])] if member_sets else []
-        )
-        count = len(member_sets)
-        preview = [tuple(sorted(members)) for members in member_sets[:3]]
+        candidates = [from_defining_set(n, q, mask_residues(masks[0]))] if masks else []
+        count = len(masks)
+        preview = [mask_residues(mask) for mask in masks[:3]]
     if count:
         shown = ", ".join("T={" + ",".join(map(str, s)) + "}" for s in preview)
         more = "" if count <= 3 else f" (+{count - 3} more)"
@@ -273,13 +253,7 @@ def _cross_row_notes(audits: list[RowAudit]) -> list[RowAudit]:
                 f"Z-side input {row.classical_label(row.c2)}; the printed row is "
                 f"self-inconsistent"
             )
-        out.append(
-            RowAudit(
-                audit.index, audit.q, audit.c1, audit.c2,
-                audit.c1_printed, audit.c2_printed,
-                audit.expected, audit.computed, audit.verdict, tuple(notes),
-            )
-        )
+        out.append(replace(audit, notes=tuple(notes)))
     return out
 
 

@@ -259,7 +259,12 @@ def clear_modulus_overrides() -> None:
 
 
 def load_modulus_table(path: str) -> int:
-    """Load overrides from a table file; returns the number of entries read."""
+    """Load overrides from a table file; returns the number of entries read.
+
+    Every line is validated before any takes effect, so a file with a bad
+    line raises and leaves the overrides and the derived caches as they were.
+    """
+    table: dict[tuple[int, int], tuple[int, ...]] = {}
     count = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -273,8 +278,9 @@ def load_modulus_table(path: str) -> int:
             if not is_prime(p):
                 raise ValueError(f"{path}:{lineno}: p={p} is not prime")
             coeffs = [int(tok) for tok in parts[2:]]
-            _overrides[(p, m)] = _validated_modulus(p, m, coeffs)
+            table[(p, m)] = _validated_modulus(p, m, coeffs)
             count += 1
+    _overrides.update(table)
     _invalidate_derived_caches()
     return count
 

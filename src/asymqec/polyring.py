@@ -1,8 +1,9 @@
 """Polynomials over GF(q), cyclotomic cosets, and the factorisation of x^n - 1.
 
 Everything a defining set rests on lives here: the coset partition of Z_n
-under multiplication by q, the minimal polynomial of each coset (expanded in
-the splitting field and mapped back to GF(q)), and the resulting complete
+under multiplication by q, the one enumerator of coset unions (the defining
+sets, as residue bitmasks), the minimal polynomial of each coset (expanded
+in the splitting field and mapped back to GF(q)), and the resulting complete
 factorisation of x^n - 1. All values are immutable and all operations pure.
 """
 
@@ -11,8 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import galois
 from .errors import InternalConsistencyError
@@ -327,6 +329,20 @@ def cyclotomic_cosets(n: int, q: int) -> tuple[CyclotomicCoset, ...]:
             t = (t * q) % n
         cosets.append(CyclotomicCoset(n, q, s, tuple(sorted(orbit))))
     return tuple(cosets)
+
+
+def coset_unions(cosets: Sequence[CyclotomicCoset]) -> Iterator[int]:
+    """Residue bitmask (bit s for residue s) of the union of every subset of
+    `cosets`, by subset size and then in `itertools.combinations` order."""
+    masks = [sum(1 << s for s in coset.members) for coset in cosets]
+    for size in range(len(masks) + 1):
+        for chosen in combinations(masks, size):
+            yield sum(chosen)  # cosets are disjoint, so the sum is the union
+
+
+def mask_residues(mask: int) -> tuple[int, ...]:
+    """The residues set in a bitmask, ascending."""
+    return tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
 
 
 def coset_of(n: int, q: int, s: int) -> CyclotomicCoset:

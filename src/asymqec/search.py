@@ -1,15 +1,17 @@
-"""Family search: derive every admissible quantum code at a given length.
+"""Family search: derive every admissible quantum code at a length.
 
-All coset-union cyclic codes of length n are generated (the space doubles
-per coset, so a cap guards against unusable lengths), every admissible
-input combination for the requested route is derived, duplicates are
-suppressed and results come back sorted by falling distance asymmetry
+Codes and partners are coset unions from one enumerator (`coset_unions`);
+the space doubles per coset, so a cap guards against unusable lengths.
+Pairs are built, not filtered: C2-dual lies in C1 exactly when T(C1) lies
+in T(C2-dual), so the css partners of C2 are the unions inside T(C2-dual),
+and each derivation still checks its own nesting and dimensions. Duplicates
+are suppressed and results come back sorted by falling distance asymmetry
 dz - dx, then falling logical dimension, then defining sets.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from typing import Sequence
 
 from .aqec import (
     AqecParams,
@@ -20,7 +22,7 @@ from .aqec import (
     subsystem_euclidean,
 )
 from .cyclic import CyclicCode, from_defining_set
-from .polyring import cyclotomic_cosets, minimal_polynomial
+from .polyring import CyclotomicCoset, coset_unions, cyclotomic_cosets, mask_residues
 from .weights import DEFAULT_BUDGET
 
 ROUTES = ("css", "extend-poly", "extend-set", "subsystem")
@@ -36,14 +38,13 @@ def all_cyclic_codes(n: int, q: int, max_codes: int = DEFAULT_MAX_CODES) -> tupl
         raise ValueError(
             f"search space of 2^{len(cosets)} defining sets exceeds the limit {max_codes}"
         )
-    codes = []
-    for size in range(len(cosets) + 1):
-        for chosen in combinations(cosets, size):
-            members: set[int] = set()
-            for coset in chosen:
-                members.update(coset.members)
-            codes.append(from_defining_set(n, q, members))
-    return tuple(codes)
+    return tuple(from_defining_set(n, q, mask_residues(mask)) for mask in coset_unions(cosets))
+
+
+def _cosets_within(cosets: Sequence[CyclotomicCoset],
+                   members: frozenset[int]) -> list[CyclotomicCoset]:
+    """The cosets inside a coset-closed residue set."""
+    return [c for c in cosets if c.representative in members]
 
 
 def _sort_key(params: AqecParams | SubsystemParams):
@@ -79,40 +80,36 @@ def search(n: int, q: int, route: str = "css", budget: int = DEFAULT_BUDGET, *,
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    if max_results is not None and max_results < 0:
+        raise ValueError(f"max_results={max_results} must be non-negative")
     codes = all_cyclic_codes(n, q, max_codes)
+    cosets = cyclotomic_cosets(n, q)
+    code_of = dict(zip(coset_unions(cosets), codes))
     results: list[AqecParams | SubsystemParams] = []
     if route == "css":
+        zero = (1 << n) - 1
         for c2 in codes:
             if c2.k == 0:
                 continue
-            c2perp = c2.dual()
-            for c1 in codes:
-                if c1.k and c1.contains(c2perp):
-                    results.append(css_aqec(c1, c2, budget))
+            for mask in coset_unions(_cosets_within(cosets, c2.dual().T.members)):
+                if mask != zero:
+                    results.append(css_aqec(code_of[mask], c2, budget))
     elif route == "extend-poly":
         for c1 in codes:
-            outside = [c for c in cyclotomic_cosets(n, q)
-                       if c.representative not in c1.T.members]
-            for size in range(1, len(outside) + 1):
-                for chosen in combinations(outside, size):
-                    f = minimal_polynomial(n, q, chosen[0])
-                    for coset in chosen[1:]:
-                        f = f * minimal_polynomial(n, q, coset)
+            outside = _cosets_within(cosets, c1.T.complement().members)
+            for mask in coset_unions(outside):
+                if mask:
+                    f = code_of[mask].generator_polynomial
                     results.append(extend_by_polynomial(c1, f, budget)[1])
     elif route == "extend-set":
         for c1 in codes:
             if c1.k == 0:
                 continue
-            allowed_members = c1.dual().T.members - c1.T.members
-            allowed = [c for c in cyclotomic_cosets(n, q)
-                       if set(c.members) <= allowed_members]
-            # the full space with the empty block would pair with the zero code
-            for size in range(0 if c1.k < n else 1, len(allowed) + 1):
-                for chosen in combinations(allowed, size):
-                    members: set[int] = set()
-                    for coset in chosen:
-                        members.update(coset.members)
-                    results.append(extend_by_defining_set(c1, members, budget)[1])
+            allowed = _cosets_within(cosets, c1.dual().T.members - c1.T.members)
+            for mask in coset_unions(allowed):
+                # the full space with the empty block would pair with the zero code
+                if mask or c1.k < n:
+                    results.append(extend_by_defining_set(c1, mask_residues(mask), budget)[1])
     else:  # subsystem
         for c1 in codes:
             if c1.k == 0 or c1.k == n:

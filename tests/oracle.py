@@ -3,7 +3,9 @@
 GF(2) codeword sets are built by folding the span of generator rows
 (bitmask ints), duals by nullspace computation on those rows; GF(q) spans
 multiply every message with the generator rows. Everything here is
-independent of the defining-set calculus and the weight kernels under test.
+independent of the defining-set calculus and the weight kernels under test,
+except `css_pairs`, the all-pairs reference for the css search, which asks
+`contains` (sets and both polynomial divisions) of every pair of codes.
 """
 
 from __future__ import annotations
@@ -83,3 +85,10 @@ def span_q(rows: Sequence[Sequence[int]], n: int, field) -> frozenset[tuple[int,
 
 def weight_q(word: Sequence[int]) -> int:
     return sum(1 for x in word if x)
+
+
+def css_pairs(codes: Sequence) -> list[tuple]:
+    """(C1, C2) for every pair of nonzero codes with C2-dual inside C1, C2 in
+    the outer loop, by testing all len(codes)^2 pairs."""
+    return [(c1, c2) for c2 in codes if c2.k
+            for c1 in codes if c1.k and c1.contains(c2.dual())]

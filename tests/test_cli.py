@@ -206,6 +206,13 @@ def test_search_text_and_limits(capsys):
     assert code == 2
 
 
+def test_search_rejects_negative_max_results(capsys):
+    code, out, err = run(["search", "--n", "15", "--q", "2", "--max-results", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
 def test_search_csv(capsys):
     code, out, _ = run(["search", "--n", "7", "--q", "2", "--route", "subsystem",
                         "--format", "csv", "--max-results", "4"], capsys)

@@ -210,6 +210,25 @@ def test_modulus_override_rejects_bad_polynomials():
         set_modulus_override(2, 4, (1, 1, 0, 0))
 
 
+def test_modulus_table_with_a_bad_line_changes_nothing(tmp_path):
+    from asymqec.cyclic import bch, generator_matrix
+    from asymqec.galois import load_modulus_table
+
+    table = tmp_path / "moduli.txt"
+    # a valid override followed by an irreducible but not primitive one
+    table.write_text("2 4 1 0 0 1 1\n2 4 1 1 1 1 1\n")
+    code = bch(15, 2, 5)
+    row = generator_matrix(code).rows[0]
+    try:
+        with pytest.raises(ValueError, match="not primitive"):
+            load_modulus_table(str(table))
+        assert make_field(2, 4).modulus == (1, 1, 0, 0, 1)
+        assert bch(15, 2, 5).is_codeword(row)
+        assert bch(15, 2, 5).is_codeword(generator_matrix(bch(15, 2, 5)).rows[0])
+    finally:
+        clear_modulus_overrides()
+
+
 def test_modulus_table_file(tmp_path):
     table = tmp_path / "moduli.txt"
     table.write_text("# override for GF(16)\n2 4 1 0 0 1 1\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -12,8 +13,10 @@ from asymqec.polyring import (
     NEG_INF,
     CyclotomicCoset,
     Polynomial,
+    coset_unions,
     cyclotomic_cosets,
     factor_xn_minus_1,
+    mask_residues,
     minimal_polynomial,
     parse_poly,
     poly_gcd,
@@ -192,3 +195,24 @@ def test_evaluate():
     assert f.evaluate(F2.zero) == one
     g = parse_poly("a*x + 1", F4)
     assert g.evaluate(F4.alpha) == F4.alpha * F4.alpha + F4.one
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (7, 2), (15, 2), (21, 2), (8, 3), (13, 3), (5, 4)])
+def test_coset_unions_by_size_then_combinations(n, q):
+    cosets = cyclotomic_cosets(n, q)
+    masks = list(coset_unions(cosets))
+    assert len(masks) == 2 ** len(cosets)
+    expected = [
+        frozenset(s for coset in chosen for s in coset.members)
+        for size in range(len(cosets) + 1)
+        for chosen in combinations(cosets, size)
+    ]
+    assert [frozenset(mask_residues(mask)) for mask in masks] == expected
+    assert masks[0] == 0 and masks[-1] == (1 << n) - 1
+
+
+def test_mask_residues_and_the_empty_union():
+    assert list(coset_unions(())) == [0]
+    assert mask_residues(0) == ()
+    assert mask_residues(0b1011) == (0, 1, 3)
+    assert mask_residues(1 << 126) == (126,)

@@ -6,6 +6,8 @@ import importlib
 
 import pytest
 
+import oracle
+from asymqec.cyclic import CyclicCode
 from asymqec.search import all_cyclic_codes, search
 
 # the package re-exports the function `search` under the module's name
@@ -50,6 +52,39 @@ def test_search_deterministic_across_calls():
 
 def test_search_max_results():
     assert len(search(15, 2, "css", max_results=7)) == 7
+
+
+def test_search_rejects_negative_max_results():
+    with pytest.raises(ValueError, match="non-negative"):
+        search(15, 2, "css", max_results=-1)
+    assert search(7, 2, "css", max_results=0) == []
+
+
+@pytest.mark.parametrize("n,q", [(7, 2), (15, 2), (8, 3), (5, 4)])
+def test_css_search_derives_exactly_the_nested_pairs(monkeypatch, n, q):
+    derived = []
+    real = search_module.css_aqec
+
+    def recording(c1, c2, budget):
+        derived.append((c1, c2))
+        return real(c1, c2, budget)
+
+    monkeypatch.setattr(search_module, "css_aqec", recording)
+    search(n, q, "css")
+    assert derived == oracle.css_pairs(all_cyclic_codes(n, q))
+
+
+def test_css_search_asks_contains_only_of_nested_pairs(monkeypatch):
+    answers = []
+    real = CyclicCode.contains
+
+    def counting(self, other):
+        answers.append(real(self, other))
+        return answers[-1]
+
+    monkeypatch.setattr(CyclicCode, "contains", counting)
+    assert len(search(15, 2, "css")) == 241
+    assert answers and all(answers)
 
 
 def test_search_routes_return_expected_members():
