@@ -41,7 +41,7 @@ from .weights import (
     WeightReport,
     bound_only_report,
     min_weight,
-    min_weight_difference,
+    min_weight_difference_unchecked,
 )
 
 #: purity is evaluated by default only up to this length (extra enumerations)
@@ -131,7 +131,7 @@ class CorrectionCapability:
 
 def _difference_side(outer: CyclicCode, inner: CyclicCode, budget: int) -> WeightReport:
     try:
-        return min_weight_difference(outer, inner, budget)
+        return min_weight_difference_unchecked(outer, inner, budget)
     except BudgetExceeded:
         return bound_only_report(outer, budget)
 
@@ -175,6 +175,7 @@ def _css(c1: CyclicCode, c2: CyclicCode, budget: int,
             f"dimension routes disagree: k1+k2-n={k}, dim difference={k_dims}, "
             f"set difference={k_sets}"
         )
+    # C2-dual inside C1 means C1-dual inside C2: the one check covers both sides
     side1 = _difference_side(c1, c2perp, budget)  # X-side weight
     side2 = _difference_side(c2, c1.dual(), budget)  # Z-side weight
     # a bound ranks after an exact side of equal value, and dz is only as

@@ -17,7 +17,6 @@ code descriptors shared by the library and the CLI:
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -262,19 +261,17 @@ class CyclicCode:
 # ---------------------------------------------------------------------------
 
 _CODE_CACHE: dict[tuple[int, int, frozenset[int]], CyclicCode] = {}
-_CODE_LOCK = threading.Lock()
 
 
 def from_defining_set(n: int, q: int, members: Iterable[int]) -> CyclicCode:
-    """Build the cyclic code with the given coset-closed defining set."""
-    T = DefiningSet.closed(n, q, members)
-    key = (n, q, T.members)
-    with _CODE_LOCK:
-        code = _CODE_CACHE.get(key)
-        if code is None:
-            code = CyclicCode(T)
-            _CODE_CACHE[key] = code
-        return code
+    """The cyclic code with the given coset-closed defining set, validated on first use."""
+    # n < 1 is never interned: DefiningSet.closed rejects it below
+    mset = frozenset(int(s) % n for s in members) if n > 0 else frozenset()
+    key = (n, q, mset)
+    code = _CODE_CACHE.get(key)
+    if code is None:
+        code = _CODE_CACHE[key] = CyclicCode(DefiningSet.closed(n, q, mset))
+    return code
 
 
 def full_space(n: int, q: int) -> CyclicCode:

@@ -26,7 +26,6 @@ is rejected.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -41,7 +40,6 @@ MAX_FIELD_SIZE = 1 << 20
 
 ENV_MODULUS_TABLE = "ASYMQEC_MODULUS_TABLE"
 
-_CACHE_LOCK = threading.Lock()
 _invalidation_hooks: list[Callable[[], None]] = []
 
 
@@ -570,13 +568,11 @@ def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> Fiel
         mod = _overrides[(p, m)]
     else:
         mod = default_modulus(p, m)
-    with _CACHE_LOCK:
-        key = (p, m, mod)
-        field = _FIELD_CACHE.get(key)
-        if field is None:
-            field = Field(p, m, mod)
-            _FIELD_CACHE[key] = field
-        return field
+    key = (p, m, mod)
+    field = _FIELD_CACHE.get(key)
+    if field is None:
+        field = _FIELD_CACHE[key] = Field(p, m, mod)
+    return field
 
 
 def field_of_size(q: int) -> Field:

@@ -1,37 +1,37 @@
-"""Exhaustive minimum-weight search, weight distributions and transforms.
+"""Minimum weights, set-difference weights, weight distributions, transforms.
 
-Every search is one serial scan over message indices. A set difference
-C_outer minus C_inner is scanned over a nested basis of the outer code: the
-rows x^j g_outer for j < c = k_outer - k_inner, then the generator rows of
-C_inner. Nesting means g_outer divides g_inner, so these rows span C_outer,
-and a word lies outside C_inner exactly when one of its first c message
-digits is nonzero. A plain minimum weight is the case with no inner code,
-c = k. The binary kernel walks all 2^k messages in Gray-code order,
-re-encoding incrementally (one row XOR per step) with codewords held as
-integer bitmasks, and flags the first c digits the same way. For q > 2 one
-representative per projective class is walked (weights and
-inner-membership are scalar-invariant), only those with their leading digit
-below c, so no word of the inner code is generated: each step adds one
-precomputed scaled row per changed message digit to a word updated in place.
+Every distance is read off two facts cached per code:
 
-A search may stop early once it finds a word whose weight equals the
-consecutive-root lower bound (the result is then still exact). The reported
-`enumerated` count is the message index at which the scan stopped, rounded
-up to a multiple of CHUNK = 2^16 and capped at the message count; a scan
-that did not stop early reports every message it walked: 2^k - 1 over
-GF(2), (q^k_outer - q^k_inner)/(q - 1) for q > 2. The `workers` keyword of
-`min_weight` and `min_weight_difference` is accepted and ignored.
+- a scan of the code's own messages that stops at a word of weight equal to
+  the consecutive-root lower bound (then exact), capped at the message count
+  of the cheaper side. Over GF(2) it is a Gray-code walk with one row XOR per
+  step on integer bitmasks; for q > 2 it walks one representative per
+  projective class, adding one cached scaled row per changed digit;
+- the weight distribution, from the cheaper side: a direct walk when
+  k <= n - k, otherwise the MacWilliams transform of the dual's distribution.
 
-Set differences: wt(C_outer minus C_inner) with C_inner equal to C_outer is
-an empty set; this arises exactly for derived codes with zero logical
-dimension, where the convention is the minimum weight of the full outer
-code (the minimum stabilizer weight), and that is what is reported.
+`min_weight` is the scan's minimum when the scan reached the bound or walked
+the whole code, and otherwise the first nonzero weight of the distribution.
+A set difference C_outer minus C_inner of nested codes has no scan of its
+own: if d(outer) is below the designed bound of inner, every nonzero word of
+inner is heavier and the answer is d(outer); otherwise it is the first w > 0
+with A_w(outer) > A_w(inner), exact because inner lies inside outer. So a
+search walks each code of a length at most twice, whatever its pair count.
+
+`enumerated` is the exact number of words walked for an answer (2^k - 1 per
+GF(2) code, (q^k - 1)/(q - 1) classes for q > 2): the scan plus the walk
+behind each distribution read, cached or not. `early_stop=False` skips the
+scan; `workers` is accepted and ignored.
+
+An inner code equal to the outer one leaves an empty difference; this arises
+exactly for derived codes with zero logical dimension, where the convention
+is the minimum weight of the full outer code, and that is what is reported.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Iterator, Sequence
 
@@ -41,10 +41,10 @@ from .errors import BudgetExceeded, InternalConsistencyError, NotNested
 
 #: default cap on codeword enumerations
 DEFAULT_BUDGET = 1 << 28
-#: reporting unit of `enumerated` for scans that stop early
-CHUNK = 1 << 16
 
 _INF = 1 << 62
+
+Distribution = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -77,45 +77,30 @@ def bound_only_report(code: CyclicCode, budget: int) -> WeightReport:
 
 
 # ---------------------------------------------------------------------------
-# Scan kernels: each returns (minimum, message index where `lb` was reached
-# or None); lb = 0 never stops a scan early
+# Scan kernels: each walks messages 1..cap and returns (minimum, messages
+# walked), stopping at the first weight <= lb
 # ---------------------------------------------------------------------------
 
-def _scan_binary(rows: Sequence[int], flags: Sequence[int] | None, total: int,
-                 lb: int) -> tuple[int, int | None]:
-    """Gray walk over messages 1..total; with `flags`, words whose flag is 0 are skipped."""
+def _scan_binary(rows: Sequence[int], cap: int, lb: int) -> tuple[int, int]:
+    """Gray walk over the first `cap` messages."""
     cw = 0
-    flag = 0
     best = _INF
-    if flags is None:
-        for t in range(1, total + 1):
-            cw ^= rows[(t & -t).bit_length() - 1]
-            w = cw.bit_count()
-            if w < best:
-                best = w
-                if best <= lb:
-                    return best, t
-    else:
-        for t in range(1, total + 1):
-            j = (t & -t).bit_length() - 1
-            cw ^= rows[j]
-            flag ^= flags[j]
-            if flag:
-                w = cw.bit_count()
-                if w < best:
-                    best = w
-                    if best <= lb:
-                        return best, t
-    return best, None
+    for t in range(1, cap + 1):
+        cw ^= rows[(t & -t).bit_length() - 1]
+        w = cw.bit_count()
+        if w < best:
+            best = w
+            if best <= lb:
+                return best, t
+    return best, cap
 
 
-def _projective_walk(field: galois.Field, rows: Sequence[Sequence[int]],
-                     leads: int) -> Iterator[list[int]]:
+def _projective_walk(field: galois.Field, rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
     """Yield the word of every projective-class representative, in order.
 
-    Representatives have leading digit 1 at position `lead` (0..leads-1), the
-    later digits counted base q with the last position fastest. The yielded
-    list is one word updated in place.
+    Representatives have leading digit 1, the later digits counted base q
+    with the last position fastest. The yielded list is one word updated in
+    place.
     """
     add, mul, sub = field.add_i, field.mul_i, field.sub_i
     q, k, xor = field.q, len(rows), field.p == 2
@@ -137,7 +122,7 @@ def _projective_walk(field: galois.Field, rows: Sequence[Sequence[int]],
             for j, x in step:
                 word[j] = add(word[j], x)
 
-    for lead in range(leads):
+    for lead in range(k):
         if lead:
             set_digit(lead - 1, 0)
         set_digit(lead, 1)
@@ -156,94 +141,98 @@ def _projective_walk(field: galois.Field, rows: Sequence[Sequence[int]],
                 pos = k - 1
 
 
-def _scan_qary(field: galois.Field, rows: Sequence[Sequence[int]], leads: int,
-               lb: int) -> tuple[int, int | None]:
-    """Projective walk over the representatives led below `leads`."""
+def _scan_qary(field: galois.Field, rows: Sequence[Sequence[int]], cap: int,
+               lb: int) -> tuple[int, int]:
+    """Projective walk over the first `cap` representatives."""
     n = len(rows[0])
     best = _INF
-    for t, word in enumerate(_projective_walk(field, rows, leads), 1):
+    for t, word in enumerate(islice(_projective_walk(field, rows), cap), 1):
         w = n - word.count(0)
         if w < best:
             best = w
             if best <= lb:
                 return best, t
-    return best, None
+    return best, cap
+
+
+# ---------------------------------------------------------------------------
+# Per-code facts, cached
+# ---------------------------------------------------------------------------
+
+#: (code, early_stop) -> (d, messages scanned, codes walked for distributions)
+_MIN_CACHE: dict[tuple[CyclicCode, bool], tuple[int, int, frozenset[CyclicCode]]] = {}
+#: code -> (weight distribution, the code walked for it)
+_DIST_CACHE: dict[CyclicCode, tuple[Distribution, CyclicCode]] = {}
+
+
+def _messages(q: int, k: int) -> int:
+    """Words walked for a code of dimension k: 2^k - 1, or the projective classes."""
+    return (1 << k) - 1 if q == 2 else (q**k - 1) // (q - 1)
+
+
+def _words(scanned: int, walked: frozenset[CyclicCode]) -> int:
+    return scanned + sum(_messages(c.q, c.k) for c in walked)
+
+
+def _distribution(code: CyclicCode) -> tuple[Distribution, CyclicCode]:
+    """(weight distribution, the code walked for it), from the cheaper side."""
+    hit = _DIST_CACHE.get(code)
+    if hit is None:
+        if code.k <= code.n - code.k:
+            hit = _distribution_direct(code), code
+        else:
+            dual_dist, walked = _distribution(code.dual())
+            hit = macwilliams_transform(dual_dist, code.n, code.q, code.n - code.k), walked
+        _DIST_CACHE[code] = hit
+    return hit
+
+
+def _min(code: CyclicCode, early_stop: bool) -> tuple[int, int, frozenset[CyclicCode]]:
+    """(d, messages scanned, codes walked for the distribution read) of a k > 0 code."""
+    key = (code, early_stop)
+    hit = _MIN_CACHE.get(key)
+    if hit is None:
+        lb = code.designed_distance_bound
+        total = _messages(code.q, code.k)
+        cap = _messages(code.q, min(code.k, code.n - code.k)) if early_stop else 0
+        matrix = generator_matrix(code)
+        if code.q == 2:
+            best, scanned = _scan_binary(matrix.bitmask_rows(), cap, lb)
+        else:
+            best, scanned = _scan_qary(code.field, matrix.rows, cap, lb)
+        walked: frozenset[CyclicCode] = frozenset()
+        if best > lb and scanned < total:
+            dist, walked_code = _distribution(code)
+            best = dist[1][0]
+            walked = frozenset((walked_code,))
+        if best < lb:
+            raise InternalConsistencyError(f"found weight {best} below the proven lower bound {lb}")
+        hit = _MIN_CACHE[key] = (best, scanned, walked)
+    return hit
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
-_MIN_CACHE: dict[tuple, WeightReport] = {}
-_DIST_CACHE: dict[CyclicCode, tuple[tuple[int, int], ...]] = {}
-_W_LOCK = threading.Lock()
-
-
-def _total_messages(code: CyclicCode) -> int:
-    if code.q == 2:
-        return (1 << code.k) - 1
-    return (code.q**code.k - 1) // (code.q - 1)
-
-
-def _exhaustive(outer: CyclicCode, inner: CyclicCode | None, budget: int,
-                early_stop: bool) -> WeightReport:
-    """Scan `outer` over its nested basis, skipping the words of `inner` when given."""
-    key = (outer, inner, early_stop)
-    report = _MIN_CACHE.get(key)
-    if report is None:
-        lb = outer.designed_distance_bound if early_stop else 0
-        q, k = outer.q, outer.k
-        # nested basis: rows x^j g_outer for j < c, then the rows of `inner`
-        c = k if inner is None else k - inner.k
-        if q == 2:
-            rows = generator_matrix(outer).bitmask_rows()[:c]
-            flags = None
-            if inner is not None:
-                rows += generator_matrix(inner).bitmask_rows()
-                flags = [1 << j for j in range(c)] + [0] * inner.k
-            total = (1 << k) - 1
-            best, stop = _scan_binary(rows, flags, total, lb)
-        else:
-            rows = generator_matrix(outer).rows[:c]
-            if inner is not None:
-                rows += generator_matrix(inner).rows
-            total = (q**k - q**(k - c)) // (q - 1)
-            best, stop = _scan_qary(outer.field, rows, c, lb)
-        if best < lb:
-            raise InternalConsistencyError(
-                f"found weight {best} below the proven lower bound {lb}"
-            )
-        if best >= _INF:
-            raise InternalConsistencyError(
-                "no nonzero codeword found in a k > 0 code" if inner is None
-                else "set difference of strictly nested codes cannot be empty"
-            )
-        enumerated = total if stop is None else min(total, -(-stop // CHUNK) * CHUNK)
-        report = WeightReport(best, "exhaustive", enumerated, budget)
-        with _W_LOCK:
-            _MIN_CACHE[key] = report
-    return replace(report, budget=budget)
-
-
 def min_weight(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
                workers: int = 1, early_stop: bool = True) -> WeightReport:
-    """Exact minimum nonzero Hamming weight over all q^k codewords.
+    """Exact minimum nonzero Hamming weight of the code.
 
-    Falls back to the dual-side route (enumerate the dual, MacWilliams back)
-    when q^k exceeds the budget but q^(n-k) does not; raises BudgetExceeded
-    when neither side fits. `workers` is accepted and ignored: the scan is
-    serial.
+    "exhaustive" when the q^k codewords fit the budget, otherwise
+    "macwilliams" (the dual side's distribution) when q^(n-k) fits;
+    BudgetExceeded when neither side fits. `workers` is ignored.
     """
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     space = code.q**code.k
-    if space > budget:
-        dual_space = code.q ** (code.n - code.k)
-        if dual_space <= budget:
-            value = min(w for w, c in weight_distribution(code, budget) if w > 0)
-            return WeightReport(value, "macwilliams", _total_messages(code.dual()), budget)
+    if space <= budget:
+        value, scanned, walked = _min(code, early_stop)
+        return WeightReport(value, "exhaustive", _words(scanned, walked), budget)
+    if code.q ** (code.n - code.k) > budget:
         raise BudgetExceeded(space, budget)
-    return _exhaustive(code, None, budget, early_stop)
+    dist, side = _distribution(code)
+    return WeightReport(dist[1][0], "macwilliams", _messages(side.q, side.k), budget)
 
 
 def min_weight_difference(outer: CyclicCode, inner: CyclicCode,
@@ -254,8 +243,8 @@ def min_weight_difference(outer: CyclicCode, inner: CyclicCode,
     Requires inner to be nested in outer. An inner equal to outer leaves an
     empty difference (the zero-logical-dimension situation); the minimum
     weight of the full outer code is reported then, matching the stabilizer
-    convention. An inner zero code reduces to plain min_weight. `workers` is
-    accepted and ignored: the scan is serial.
+    convention. An inner zero code reduces to plain min_weight. Raises
+    BudgetExceeded when q^k_outer exceeds the budget. `workers` is ignored.
     """
     if (outer.n, outer.q) != (inner.n, inner.q):
         raise ValueError(
@@ -263,40 +252,49 @@ def min_weight_difference(outer: CyclicCode, inner: CyclicCode,
         )
     if not outer.contains(inner):
         raise NotNested(f"{inner.descriptor()} is not a subcode of {outer.descriptor()}")
+    return min_weight_difference_unchecked(outer, inner, budget, early_stop=early_stop)
+
+
+def min_weight_difference_unchecked(outer: CyclicCode, inner: CyclicCode,
+                                    budget: int = DEFAULT_BUDGET, *,
+                                    early_stop: bool = True) -> WeightReport:
+    """min_weight_difference of a pair the caller knows to be nested."""
     if inner.k == 0 or inner.k == outer.k:
         return min_weight(outer, budget, early_stop=early_stop)
     space = outer.q**outer.k
     if space > budget:
         raise BudgetExceeded(space, budget)
-    return _exhaustive(outer, inner, budget, early_stop)
+    value, scanned, walked = _min(outer, early_stop)
+    # below inner's designed bound, a minimum word of outer cannot lie in inner
+    if value >= inner.designed_distance_bound:
+        a_outer, outer_walked = _distribution(outer)
+        a_inner, inner_walked = _distribution(inner)
+        walked = walked | {outer_walked, inner_walked}
+        outer_counts, inner_counts = dict(a_outer), dict(a_inner)
+        value = next((w for w, c in a_outer if c > inner_counts.get(w, 0)), _INF)
+        if value >= _INF or value < outer.designed_distance_bound or any(
+                c > outer_counts.get(w, 0) for w, c in a_inner):
+            raise InternalConsistencyError(
+                f"weight distribution of {inner.descriptor()} does not fit inside that "
+                f"of {outer.descriptor()} above its designed bound"
+            )
+    return WeightReport(value, "exhaustive", _words(scanned, walked), budget)
 
 
-def weight_distribution(code: CyclicCode,
-                        budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, int], ...]:
+def weight_distribution(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> Distribution:
     """All (weight, count) pairs with nonzero count; counts sum to q^k.
 
-    Enumerates the code directly when q^k fits the budget, otherwise the
-    dual side followed by a MacWilliams transform; BudgetExceeded when
-    neither fits.
+    Computed on the cheaper side: the code itself when k <= n - k, otherwise
+    the dual followed by a MacWilliams transform; BudgetExceeded when even
+    the cheaper side exceeds the budget.
     """
-    space = code.q**code.k
-    dual_space = code.q ** (code.n - code.k)
-    if min(space, dual_space) > budget:
-        raise BudgetExceeded(min(space, dual_space), budget)
-    cached = _DIST_CACHE.get(code)
-    if cached is not None:
-        return cached
-    if space <= budget:
-        dist = _distribution_direct(code)
-    else:
-        dual_dist = _distribution_direct(code.dual())
-        dist = macwilliams_transform(dual_dist, code.n, code.q, code.n - code.k)
-    with _W_LOCK:
-        _DIST_CACHE[code] = dist
-    return dist
+    cheaper = code.q ** min(code.k, code.n - code.k)
+    if cheaper > budget:
+        raise BudgetExceeded(cheaper, budget)
+    return _distribution(code)[0]
 
 
-def _distribution_direct(code: CyclicCode) -> tuple[tuple[int, int], ...]:
+def _distribution_direct(code: CyclicCode) -> Distribution:
     counts = [0] * (code.n + 1)
     counts[0] = 1
     if code.k:
@@ -307,7 +305,7 @@ def _distribution_direct(code: CyclicCode) -> tuple[tuple[int, int], ...]:
                 cw ^= rows[(t & -t).bit_length() - 1]
                 counts[cw.bit_count()] += 1
         else:
-            for word in _projective_walk(code.field, generator_matrix(code).rows, code.k):
+            for word in _projective_walk(code.field, generator_matrix(code).rows):
                 counts[code.n - word.count(0)] += code.q - 1
     return tuple((w, c) for w, c in enumerate(counts) if c)
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
+import oracle
+from asymqec import weights
 from asymqec.aqec import (
     aqec_to_subsystem,
     build_stabilizer_matrix,
@@ -18,7 +21,7 @@ from asymqec.aqec import (
     subsystem_to_stabilizer,
     trade_dimension,
 )
-from asymqec.cyclic import CheckMatrix, bch, from_defining_set
+from asymqec.cyclic import CheckMatrix, CyclicCode, bch, from_defining_set, generator_matrix
 from asymqec.errors import NotNested
 from asymqec.galois import make_field
 from asymqec.polyring import coset_of, minimal_polynomial, parse_poly
@@ -371,3 +374,78 @@ def test_ordering_rule_holds_for_every_derivation_n15_at_small_budget():
             _check_ordering_rule(small, full)
             checked += 1
     assert checked > 250
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (8, 3), (5, 4)])
+def test_css_distances_against_brute_force_set_differences(n, q, monkeypatch):
+    codes = [c for c in all_cyclic_codes(n, q) if q**c.k <= 4**6]
+    spans = {c: oracle.span_q(generator_matrix(c).rows, n, c.field) for c in codes}
+
+    def lightest(words):
+        return min(oracle.weight_q(w) for w in words if any(w))
+
+    read = []
+    real = weights._distribution
+
+    def spy(code):
+        read.append(code)
+        return real(code)
+
+    monkeypatch.setattr(weights, "_distribution", spy)
+    paths = Counter()
+    for c1, c2 in oracle.css_pairs(codes):
+        weights._clear_caches()
+        read.clear()
+        params = css_aqec(c1, c2)
+        sides = []
+        for outer, inner in ((c1, c2.dual()), (c2, c1.dual())):
+            # an empty difference (k = 0) reports the whole outer code
+            sides.append(lightest(spans[outer] - spans[inner] or spans[outer]))
+            if 0 < inner.k < outer.k:
+                if lightest(spans[outer]) < inner.designed_distance_bound:
+                    paths["lemma"] += 1
+                else:
+                    assert inner in read
+                    paths["distribution"] += 1
+        assert (params.dz.value, params.dx.value) == (max(sides), min(sides))
+        assert params.dz.is_exact and params.dx.is_exact
+    assert paths["lemma"] and paths["distribution"]
+
+
+def test_each_derivation_checks_nesting_once(monkeypatch):
+    pairs = oracle.css_pairs(all_cyclic_codes(15, 2)) + oracle.css_pairs(all_cyclic_codes(8, 3))
+    calls = []
+    real = CyclicCode.contains
+
+    def counting(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(CyclicCode, "contains", counting)
+    for c1, c2 in pairs:
+        calls.clear()
+        css_aqec(c1, c2)
+        assert calls == [(c1, c2.dual())]
+    for c1, _ in pairs:
+        if c1.k < c1.n:
+            calls.clear()
+            subsystem_euclidean(c1)
+            assert len(calls) == 1
+
+
+def test_non_nested_pairs_raise_not_nested_on_every_route():
+    checked = 0
+    for n, q in ((15, 2), (8, 3)):
+        codes = [c for c in all_cyclic_codes(n, q) if c.k]
+        for c1, c2 in itertools.product(codes, repeat=2):
+            if c1.contains(c2.dual()):
+                continue
+            with pytest.raises(NotNested):
+                css_aqec(c1, c2)
+            with pytest.raises(NotNested):
+                build_stabilizer_matrix(c1, c2)
+            for outer, inner in ((c1, c2.dual()), (c2, c1.dual())):
+                with pytest.raises(NotNested):
+                    weights.min_weight_difference(outer, inner)
+            checked += 1
+    assert checked > 100

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 import oracle
+from asymqec import cyclic
 from asymqec.cyclic import (
     bch,
     code_sum,
@@ -47,6 +48,38 @@ def test_non_closed_defining_set_rejected():
         from_defining_set(15, 2, {1, 2, 3})
     assert "not closed" in str(err.value)
     assert "coset" in str(err.value)
+
+
+def test_from_defining_set_accepts_a_generator():
+    code = from_defining_set(15, 2, (s for s in (1, 2, 4, 8)))
+    assert code is bch(15, 2, 3)
+
+
+def test_from_defining_set_lookup_skips_validation(monkeypatch):
+    code = from_defining_set(15, 2, {1, 2, 4, 8})
+    calls = []
+    real = cyclic.coset_of
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cyclic, "coset_of", counting)
+    assert from_defining_set(15, 2, [8, 4, 2, 16]) is code  # 16 = 1 mod 15
+    assert calls == []
+
+
+def test_invalid_sets_rejected_after_their_closure_is_interned():
+    from_defining_set(15, 2, {1, 2, 4, 8})
+    with pytest.raises(ValueError, match="not closed"):
+        from_defining_set(15, 2, {1, 2, 4})
+    with pytest.raises(ValueError, match="not closed"):
+        from_defining_set(15, 2, (s for s in (1, 2, 4, 8, 3)))
+    from_defining_set(5, 3, ())
+    with pytest.raises(ValueError, match="gcd"):
+        from_defining_set(15, 3, ())
+    with pytest.raises(ValueError, match="positive"):
+        from_defining_set(0, 2, (1,))
 
 
 def test_dual_examples():

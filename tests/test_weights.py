@@ -9,8 +9,17 @@ import pytest
 
 import oracle
 import asymqec.weights
-from asymqec.cyclic import bch, full_space, generator_matrix, hamming, repetition, rs, zero_code
-from asymqec.errors import BudgetExceeded, NotNested
+from asymqec.cyclic import (
+    bch,
+    from_defining_set,
+    full_space,
+    generator_matrix,
+    hamming,
+    repetition,
+    rs,
+    zero_code,
+)
+from asymqec.errors import BudgetExceeded, InternalConsistencyError, NotNested
 from asymqec.search import all_cyclic_codes
 from asymqec.weights import (
     macwilliams_transform,
@@ -23,6 +32,16 @@ from asymqec.weights import (
 
 def fresh():
     asymqec.weights._clear_caches()
+
+
+def cheaper_side(code):
+    """The code a weight distribution walks: the code itself or its dual."""
+    return code if code.k <= code.n - code.k else code.dual()
+
+
+def messages(code):
+    """Words walked for `code`: 2^k - 1, or the projective classes for q > 2."""
+    return (code.q**code.k - 1) // (code.q - 1)
 
 
 def test_min_weight_examples():
@@ -265,6 +284,51 @@ def test_qary_kernels_against_brute_force_span(n, q):
             for early in (True, False):
                 fresh()
                 assert min_weight_difference(outer, inner, early_stop=early).value == expected
-            # a full scan walks the projective classes outside the inner code only
+            # without the scan the answer walks the cheaper side of outer, and
+            # that of inner unless d(outer) is below inner's designed bound
             report = min_weight_difference(outer, inner, early_stop=False)
-            assert report.enumerated == (q**outer.k - q**inner.k) // (q - 1)
+            walked = {cheaper_side(outer)}
+            d_outer = min(oracle.weight_q(w) for w in spans[outer] if any(w))
+            if d_outer >= inner.designed_distance_bound:
+                walked.add(cheaper_side(inner))
+            assert report.enumerated == sum(messages(c) for c in walked)
+
+
+@pytest.mark.parametrize("n,q", [(31, 2), (13, 3), (9, 4)])
+def test_min_weight_walks_at_most_twice_the_cheaper_side(n, q):
+    fresh()
+    for code in all_cyclic_codes(n, q):
+        if code.k == 0:
+            continue
+        report = min_weight(code)
+        dist = weight_distribution(code)
+        assert report.value == dist[1][0]
+        cheaper = messages(cheaper_side(code))
+        # the scan decides within the cheaper side's count, or it walked
+        # exactly that many messages and the distribution walked as many again
+        assert report.enumerated <= cheaper or report.enumerated == 2 * cheaper
+
+
+def test_min_weight_counts_scan_and_distribution_exactly():
+    # [13,10,3]_3: designed bound 2 is never met, so all 13 messages of the
+    # cheaper (dual) side are scanned, then the dual's 13 classes are walked
+    for warm in (False, True):
+        if not warm:
+            fresh()
+        report = min_weight(hamming(3, 3))
+        assert (report.value, report.method, report.enumerated) == (3, "exhaustive", 26)
+
+
+def test_min_weight_difference_rejects_inconsistent_distributions():
+    outer = bch(15, 2, 3)  # [15,11,3]
+    inner = from_defining_set(15, 2, {1, 2, 4, 5, 8, 10})  # [15,9], designed bound 3
+    fresh()
+    assert min_weight(outer).value >= inner.designed_distance_bound  # no shortcut
+    a_outer = dict(weight_distribution(outer))
+    # inner claims more weight-3 words than the outer code that contains it
+    corrupt = tuple((w, a_outer[3] + 1 if w == 3 else c)
+                    for w, c in weight_distribution(inner))
+    asymqec.weights._DIST_CACHE[inner] = (corrupt, inner)
+    with pytest.raises(InternalConsistencyError, match="does not fit"):
+        min_weight_difference(outer, inner)
+    fresh()
