@@ -7,8 +7,18 @@ Every distance is read off two facts cached per code:
   of the cheaper side. Over GF(2) it is a Gray-code walk with one row XOR per
   step on integer bitmasks; for q > 2 it walks one representative per
   projective class, adding one cached scaled row per changed digit;
-- the weight distribution, from the cheaper side: a direct walk when
-  k <= n - k, otherwise the MacWilliams transform of the dual's distribution.
+- the weight distribution, from the cheaper side: the code's own words when
+  k <= n - k, otherwise the MacWilliams transform (Krawtchouk columns by
+  their three-term recurrence) of the dual's distribution.
+
+A cyclic code is the direct sum of minimal ideals M_s, one per cyclotomic
+coset s of its nonzeros. On M_s = GF(q^d) a cyclic shift multiplies by
+alpha^s, so shifts and scalars permute M_s minus 0 freely in orbits of
+o_s = lcm(n / gcd(n, s), q - 1) words, each mapping a + rest (rest: the other
+ideals) onto a fiber of the same weights. So with the lead ideal of largest
+o_s, A(code) = A(rest) + o_s * sum of hist(a + rest) over one a per orbit.
+This split is used when its reps * q^(k - d) + q^d words are fewer than the
+direct walk's 2^k - 1 words or (q^k - 1)/(q - 1) projective classes.
 
 `min_weight` is the scan's minimum when the scan reached the bound or walked
 the whole code, and otherwise the first nonzero weight of the distribution.
@@ -18,10 +28,10 @@ inner is heavier and the answer is d(outer); otherwise it is the first w > 0
 with A_w(outer) > A_w(inner), exact because inner lies inside outer. So a
 search walks each code of a length at most twice, whatever its pair count.
 
-`enumerated` is the exact number of words walked for an answer (2^k - 1 per
-GF(2) code, (q^k - 1)/(q - 1) classes for q > 2): the scan plus the walk
-behind each distribution read, cached or not. `early_stop=False` skips the
-scan; `workers` is accepted and ignored.
+`enumerated` counts the codewords accounted for in an answer: the messages
+scanned plus, per distribution read, the cheaper side's 2^k - 1 words or
+(q^k - 1)/(q - 1) classes for q > 2, cached or not, walked one by one or met
+in orbits. `early_stop=False` skips the scan; `workers` is ignored.
 
 An inner code equal to the outer one leaves an empty difference; this arises
 exactly for derived codes with zero logical dimension, where the convention
@@ -30,14 +40,16 @@ is the minimum weight of the full outer code, and that is what is reported.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice
-from math import comb
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from . import galois
-from .cyclic import CyclicCode, generator_matrix
+from .cyclic import CyclicCode, from_defining_set, generator_matrix
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
+from .polyring import CyclotomicCoset, cyclotomic_cosets
 
 #: default cap on codeword enumerations
 DEFAULT_BUDGET = 1 << 28
@@ -95,50 +107,43 @@ def _scan_binary(rows: Sequence[int], cap: int, lb: int) -> tuple[int, int]:
     return best, cap
 
 
-def _projective_walk(field: galois.Field, rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
-    """Yield the word of every projective-class representative, in order.
-
-    Representatives have leading digit 1, the later digits counted base q
-    with the last position fastest. The yielded list is one word updated in
-    place.
-    """
+def _walk(field: galois.Field, rows: Sequence[Sequence[int]],
+          start: Sequence[int]) -> Iterator[list[int]]:
+    """Yield `start` plus each GF(q) combination of `rows`, digits counted base q
+    with the last row fastest; the yielded list is one word updated in place."""
     add, mul, sub = field.add_i, field.mul_i, field.sub_i
-    q, k, xor = field.q, len(rows), field.p == 2
-    scaled: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    word = [0] * len(rows[0])
-    digits = [0] * k
-
-    def set_digit(i: int, value: int) -> None:
-        c = sub(value, digits[i])
-        digits[i] = value
-        step = scaled.get((i, c))
-        if step is None:
-            step = [(j, mul(c, x)) for j, x in enumerate(rows[i]) if c and x]
-            scaled[(i, c)] = step
+    q, xor, last = field.q, field.p == 2, len(rows) - 1
+    # moves[i][d]: the (position, change) pairs taking digit i from d to d + 1 mod q
+    moves: list[list] = [[None] * q for _ in rows]
+    word, digits = list(start), [0] * len(rows)
+    yield word
+    pos = last
+    while pos >= 0:
+        d = digits[pos]
+        move = moves[pos][d]
+        if move is None:
+            c = sub((d + 1) % q, d)
+            move = moves[pos][d] = [(j, mul(c, x)) for j, x in enumerate(rows[pos]) if x]
         if xor:
-            for j, x in step:
+            for j, x in move:
                 word[j] ^= x
         else:
-            for j, x in step:
+            for j, x in move:
                 word[j] = add(word[j], x)
+        if d == q - 1:
+            digits[pos] = 0
+            pos -= 1
+        else:
+            digits[pos] = d + 1
+            yield word
+            pos = last
 
-    for lead in range(k):
-        if lead:
-            set_digit(lead - 1, 0)
-        set_digit(lead, 1)
-        for i in range(lead + 1, k):
-            set_digit(i, 0)
-        yield word
-        pos = k - 1
-        while pos > lead:
-            d = digits[pos]
-            if d == q - 1:
-                set_digit(pos, 0)
-                pos -= 1
-            else:
-                set_digit(pos, d + 1)
-                yield word
-                pos = k - 1
+
+def _projective_walk(field: galois.Field, rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """Yield every projective-class representative (leading digit 1) in order:
+    per lead, one odometer over the later rows."""
+    for lead in range(len(rows)):
+        yield from _walk(field, rows[lead + 1:], rows[lead])
 
 
 def _scan_qary(field: galois.Field, rows: Sequence[Sequence[int]], cap: int,
@@ -163,6 +168,8 @@ def _scan_qary(field: galois.Field, rows: Sequence[Sequence[int]], cap: int,
 _MIN_CACHE: dict[tuple[CyclicCode, bool], tuple[int, int, frozenset[CyclicCode]]] = {}
 #: code -> (weight distribution, the code walked for it)
 _DIST_CACHE: dict[CyclicCode, tuple[Distribution, CyclicCode]] = {}
+#: (n, q, coset representative) -> one word per orbit of the minimal ideal
+_ORBIT_CACHE: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 def _messages(q: int, k: int) -> int:
@@ -294,19 +301,94 @@ def weight_distribution(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> Distr
     return _distribution(code)[0]
 
 
-def _distribution_direct(code: CyclicCode) -> Distribution:
-    counts = [0] * (code.n + 1)
-    counts[0] = 1
-    if code.k:
-        if code.q == 2:
-            rows = generator_matrix(code).bitmask_rows()
-            cw = 0
-            for t in range(1, 1 << code.k):
-                cw ^= rows[(t & -t).bit_length() - 1]
-                counts[cw.bit_count()] += 1
+def _orbit_size(n: int, q: int, s: int) -> int:
+    """o_s, the order of the group the shifts and scalars generate on M_s."""
+    return lcm(n // gcd(n, s), q - 1)
+
+
+def _lead(code: CyclicCode) -> CyclotomicCoset:
+    """The coset of nonzeros with the largest o_s, ties to the smallest representative."""
+    n, q = code.n, code.q
+    return max((c for c in cyclotomic_cosets(n, q) if c.representative not in code.T.members),
+               key=lambda c: (_orbit_size(n, q, c.representative), -c.representative))
+
+
+def _orbit_representatives(n: int, q: int, coset: CyclotomicCoset) -> tuple[tuple[int, ...], ...]:
+    """One word of each orbit of the shifts and nonzero scalars on M_s minus 0.
+
+    Each unmarked word of M_s opens an orbit, closed under one rotation and
+    one primitive scalar; words are marked by their first d coordinates, an
+    information set of any [n, d] cyclic code.
+    """
+    key = (n, q, coset.representative)
+    if key not in _ORBIT_CACHE:
+        ideal = from_defining_set(n, q, set(range(n)).difference(coset.members))
+        field, powers = ideal.field, [q**i for i in range(ideal.k)]
+        scale = [field.mul_i(field.alpha.value, x) for x in range(q)].__getitem__
+        seen, reps, size = bytearray(q**ideal.k), [], _orbit_size(n, q, coset.representative)
+        seen[0] = 1  # the zero word
+        for word in map(tuple, _walk(field, generator_matrix(ideal).rows, [0] * n)):
+            stack, count = [word], 0
+            while stack:
+                x = stack.pop()
+                i = sum(map(operator.mul, x, powers))
+                if not seen[i]:
+                    seen[i] = 1
+                    count += 1
+                    stack += (x[-1:] + x[:-1], tuple(map(scale, x)))
+            if count:
+                reps.append(word)
+                if count != size:
+                    raise InternalConsistencyError(
+                        f"an orbit of M_s, s in {coset} mod {n}, has {count} words, not {size}")
+        _ORBIT_CACHE[key] = tuple(reps)
+    return _ORBIT_CACHE[key]
+
+
+def _gray_counts(rows: Sequence[int], start: int, counts: list[int]) -> None:
+    """Count the weight of `start` plus every GF(2) combination of `rows`."""
+    cw = start
+    counts[cw.bit_count()] += 1
+    for t in range(1, 1 << len(rows)):
+        cw ^= rows[(t & -t).bit_length() - 1]
+        counts[cw.bit_count()] += 1
+
+
+def _distribution_split(code: CyclicCode, lead: CyclotomicCoset) -> Distribution:
+    """A(code) = A(rest) + o_s * sum of hist(a + rest) over orbit representatives a."""
+    n, q = code.n, code.q
+    rest = from_defining_set(n, q, code.T.members.union(lead.members))
+    matrix = generator_matrix(rest)
+    rows = matrix.bitmask_rows() if q == 2 else matrix.rows
+    fibers = [0] * (n + 1)
+    for a in _orbit_representatives(n, q, lead):
+        if q == 2:
+            _gray_counts(rows, sum(x << j for j, x in enumerate(a)), fibers)
         else:
-            for word in _projective_walk(code.field, generator_matrix(code).rows):
-                counts[code.n - word.count(0)] += code.q - 1
+            for word in _walk(code.field, rows, a):
+                fibers[n - word.count(0)] += 1
+    counts = [_orbit_size(n, q, lead.representative) * c for c in fibers]
+    for w, c in _distribution(rest)[0]:
+        counts[w] += c
+    return tuple((w, c) for w, c in enumerate(counts) if c)
+
+
+def _distribution_direct(code: CyclicCode) -> Distribution:
+    """Weight distribution from the code's own words, split when that walks fewer."""
+    if code.k == 0:
+        return ((0, 1),)
+    q, lead = code.q, _lead(code)
+    d = len(lead.members)
+    reps = (q**d - 1) // _orbit_size(code.n, q, lead.representative)
+    if reps * q ** (code.k - d) + q**d < _messages(q, code.k):
+        return _distribution_split(code, lead)
+    counts = [0] * (code.n + 1)
+    if q == 2:
+        _gray_counts(generator_matrix(code).bitmask_rows(), 0, counts)
+    else:
+        counts[0] = 1
+        for word in _projective_walk(code.field, generator_matrix(code).rows):
+            counts[code.n - word.count(0)] += q - 1
     return tuple((w, c) for w, c in enumerate(counts) if c)
 
 
@@ -314,8 +396,9 @@ def macwilliams_transform(dist: Sequence[tuple[int, int]], n: int, q: int,
                           k: int) -> tuple[tuple[int, int], ...]:
     """Weight distribution of the dual of a code with the given distribution.
 
-    Exact integer Krawtchouk sums; rejects inputs that are not a plausible
-    [n, k]_q distribution (wrong total, negative or fractional output).
+    Exact integer Krawtchouk sums, each column K_0(i), ..., K_n(i) by the
+    three-term recurrence; rejects inputs that are not a plausible [n, k]_q
+    distribution (wrong total, negative or fractional output).
     """
     a = [0] * (n + 1)
     total = 0
@@ -330,22 +413,18 @@ def macwilliams_transform(dist: Sequence[tuple[int, int]], n: int, q: int,
     qk = q**k
     if total != qk:
         raise ValueError(f"distribution sums to {total}, expected q^k = {qk}")
-    out = []
-    for j in range(n + 1):
-        s = 0
-        for i in range(n + 1):
-            if a[i]:
-                kraw = sum(
-                    (-1) ** t * (q - 1) ** (j - t) * comb(i, t) * comb(n - i, j - t)
-                    for t in range(min(i, j) + 1)
-                )
-                s += a[i] * kraw
-        if s % qk or s < 0:
-            raise ValueError("not a valid linear-code weight distribution")
-        b = s // qk
-        if b:
-            out.append((j, b))
-    return tuple(out)
+    sums = [0] * (n + 1)
+    for i, c in enumerate(a):
+        if c:
+            prev, kraw = 0, 1
+            for j in range(n + 1):
+                sums[j] += c * kraw
+                # (j+1) K_{j+1} = (j + (q-1)(n-j) - q i) K_j - (q-1)(n-j+1) K_{j-1}
+                prev, kraw = kraw, ((j + (q - 1) * (n - j) - q * i) * kraw
+                                    - (q - 1) * (n - j + 1) * prev) // (j + 1)
+    if any(s % qk or s < 0 for s in sums):
+        raise ValueError("not a valid linear-code weight distribution")
+    return tuple((j, s // qk) for j, s in enumerate(sums) if s)
 
 
 def symplectic_weight(a: Sequence[int], b: Sequence[int]) -> int:
@@ -358,6 +437,7 @@ def symplectic_weight(a: Sequence[int], b: Sequence[int]) -> int:
 def _clear_caches() -> None:
     _MIN_CACHE.clear()
     _DIST_CACHE.clear()
+    _ORBIT_CACHE.clear()
 
 
 galois.register_invalidation_hook(_clear_caches)

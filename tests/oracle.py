@@ -6,11 +6,14 @@ multiply every message with the generator rows. Everything here is
 independent of the defining-set calculus and the weight kernels under test,
 except `css_pairs`, the all-pairs reference for the css search, which asks
 `contains` (sets and both polynomial divisions) of every pair of codes.
+`macwilliams_transform` is the closed-form Krawtchouk reference for the
+library's recurrence.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Sequence
 
 
@@ -92,3 +95,38 @@ def css_pairs(codes: Sequence) -> list[tuple]:
     the outer loop, by testing all len(codes)^2 pairs."""
     return [(c1, c2) for c2 in codes if c2.k
             for c1 in codes if c1.k and c1.contains(c2.dual())]
+
+
+def macwilliams_transform(dist: Sequence[tuple[int, int]], n: int, q: int,
+                          k: int) -> tuple[tuple[int, int], ...]:
+    """Dual weight distribution by the closed Krawtchouk sums, one binomial
+    sum per (j, i) pair, with the library's validations and messages."""
+    a = [0] * (n + 1)
+    total = 0
+    for w, c in dist:
+        w, c = int(w), int(c)
+        if not 0 <= w <= n:
+            raise ValueError(f"weight {w} outside 0..{n}")
+        if c < 0 or a[w]:
+            raise ValueError("malformed weight distribution")
+        a[w] = c
+        total += c
+    qk = q**k
+    if total != qk:
+        raise ValueError(f"distribution sums to {total}, expected q^k = {qk}")
+    out = []
+    for j in range(n + 1):
+        s = 0
+        for i in range(n + 1):
+            if a[i]:
+                kraw = sum(
+                    (-1) ** t * (q - 1) ** (j - t) * comb(i, t) * comb(n - i, j - t)
+                    for t in range(min(i, j) + 1)
+                )
+                s += a[i] * kraw
+        if s % qk or s < 0:
+            raise ValueError("not a valid linear-code weight distribution")
+        b = s // qk
+        if b:
+            out.append((j, b))
+    return tuple(out)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from asymqec.cyclic import (
     full_space,
     generator_matrix,
     hamming,
+    parse_code,
     repetition,
     rs,
     zero_code,
@@ -197,6 +199,51 @@ def test_macwilliams_malformed():
         macwilliams_transform([(9, 16)], 7, 2, 4)  # weight out of range
     with pytest.raises(ValueError):
         macwilliams_transform([(0, 2), (1, 14)], 7, 2, 4)  # no valid code has A0=2
+
+
+MACWILLIAMS_CODES = (
+    "bch:n=63,q=2,delta=7",
+    "hamming:m=7,q=2",
+    "bch:n=127,q=2,delta=7",
+    "bch:n=255,q=2,delta=3",
+    "bch:n=85,q=4,delta=3",
+    "rs:q=32,delta=4",
+)
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (21, 2), (8, 3), (9, 4), (7, 8), (13, 3)])
+def test_macwilliams_recurrence_matches_closed_sums(n, q):
+    for code in all_cyclic_codes(n, q):
+        dist = weight_distribution(code)
+        expected = oracle.macwilliams_transform(dist, n, q, code.k)
+        assert macwilliams_transform(dist, n, q, code.k) == expected
+        assert expected == weight_distribution(code.dual())
+
+
+@pytest.mark.parametrize("descriptor", MACWILLIAMS_CODES)
+def test_macwilliams_recurrence_matches_closed_sums_classical(descriptor):
+    # transform the side that is walked, whose distribution has few weights
+    side = cheaper_side(parse_code(descriptor))
+    dist = weight_distribution(side)
+    transformed = macwilliams_transform(dist, side.n, side.q, side.k)
+    assert transformed == oracle.macwilliams_transform(dist, side.n, side.q, side.k)
+    assert transformed == weight_distribution(side.dual())
+
+
+@pytest.mark.parametrize("dist,n,q,k", [
+    ([(0, 1), (3, 5)], 7, 2, 4),  # wrong total
+    ([(9, 16)], 7, 2, 4),  # weight out of range
+    ([(-1, 16)], 7, 2, 4),  # negative weight
+    ([(0, 2), (1, 14)], 7, 2, 4),  # no valid code has A0=2
+    ([(0, 1), (3, 8), (3, 7)], 7, 2, 4),  # a weight listed twice
+    ([(0, 17), (3, -1)], 7, 2, 4),  # negative count
+    ([(0, 1), (1, 3)], 3, 2, 2),  # sums right, fractional dual counts
+])
+def test_macwilliams_rejects_what_the_closed_sums_reject(dist, n, q, k):
+    with pytest.raises(ValueError) as expected:
+        oracle.macwilliams_transform(dist, n, q, k)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        macwilliams_transform(dist, n, q, k)
 
 
 def test_symplectic_weight():
