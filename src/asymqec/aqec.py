@@ -35,7 +35,7 @@ from .cyclic import (
 )
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
 from .galois import FieldElement, nth_root_field, subfield_embedding
-from .polyring import Polynomial, render_poly
+from .polyring import Polynomial, cyclotomic_cosets, render_poly
 from .weights import (
     DEFAULT_BUDGET,
     WeightReport,
@@ -286,14 +286,18 @@ def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
 
 
 def _roots_of(f: Polynomial, code: CyclicCode) -> frozenset[int]:
-    """Exponents i with f(alpha^i) = 0, alpha the primitive n-th root."""
+    """Exponents i with f(alpha^i) = 0, alpha the primitive n-th root.
+
+    f has coefficients in GF(q), so f(alpha^(qi)) = f(alpha^i)^q: one
+    evaluation per cyclotomic coset decides all of its members.
+    """
     ext, alpha = nth_root_field(code.n, code.q)
     embed, _ = subfield_embedding(code.field, ext)
-    out = set()
-    for i in range(code.n):
-        point = FieldElement(ext, ext.pow_i(alpha.value, i))
+    out: set[int] = set()
+    for coset in cyclotomic_cosets(code.n, code.q):
+        point = FieldElement(ext, ext.pow_i(alpha.value, coset.representative))
         if f.evaluate_embedded(point, embed) == 0:
-            out.add(i)
+            out.update(coset.members)
     return frozenset(out)
 
 

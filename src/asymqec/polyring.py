@@ -26,7 +26,12 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Polynomial over a Field; coefficients ascending, no trailing zeros."""
+    """Polynomial over a Field; coefficients ascending, no trailing zeros.
+
+    Products, division and embedded evaluation add inline where the field
+    allows: integers reduced mod p over a prime field, XOR with the log and
+    antilog tables over GF(2^m); other fields go through the Field methods.
+    """
 
     field: Field
     coeffs: tuple[int, ...]
@@ -116,11 +121,27 @@ class Polynomial:
         if self.is_zero or other.is_zero:
             return Polynomial.zero(f)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = f.add_i(out[i + j], f.mul_i(a, b))
+        if f.m == 1:  # integers mod p, reduced once at the end
+            terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j, b in terms:
+                        out[i + j] += a * b
+            out = [c % f.p for c in out]
+        elif f.p == 2 and f._log is not None:  # sums are XOR, products two lookups
+            exp, log = f._exp, f._log
+            terms = [(j, log[b]) for j, b in enumerate(other.coeffs) if b]
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    la = log[a]
+                    for j, lb in terms:
+                        out[i + j] ^= exp[la + lb]
+        else:
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j, b in enumerate(other.coeffs):
+                        if b:
+                            out[i + j] = f.add_i(out[i + j], f.mul_i(a, b))
         return Polynomial(f, tuple(out))
 
     def scale(self, c: int) -> Polynomial:
@@ -139,17 +160,38 @@ class Polynomial:
         db = len(divisor.coeffs) - 1
         inv_lead = f.inv_i(divisor.leading)
         quot = [0] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - 1 - db
-            factor = f.mul_i(rem[-1], inv_lead)
-            quot[shift] = factor
-            for j, c in enumerate(divisor.coeffs):
-                if c:
-                    rem[shift + j] = f.sub_i(rem[shift + j], f.mul_i(factor, c))
-            rem.pop()
+        shifts = range(len(rem) - 1 - db, -1, -1)
+        if f.m == 1:  # integers mod p, each reduced when it leads or at the end
+            p = f.p
+            lower = [(j, c) for j, c in enumerate(divisor.coeffs[:-1]) if c]
+            for shift in shifts:
+                factor = rem[shift + db] * inv_lead % p
+                if factor:
+                    quot[shift] = factor
+                    for j, c in lower:
+                        rem[shift + j] -= factor * c
+            rem = [c % p for c in rem[:db]]
+        elif f.p == 2 and f._log is not None:  # sums are XOR, products two lookups
+            exp, log = f._exp, f._log
+            order, log_inv = f.q - 1, log[inv_lead]
+            lower = [(j, log[c]) for j, c in enumerate(divisor.coeffs[:-1]) if c]
+            for shift in shifts:
+                top = rem[shift + db]
+                if top:
+                    lf = (log[top] + log_inv) % order
+                    quot[shift] = exp[lf]
+                    for j, lc in lower:
+                        rem[shift + j] ^= exp[lf + lc]
+            rem = rem[:db]
+        else:
+            for shift in shifts:
+                top = rem[shift + db]
+                if top:
+                    factor = quot[shift] = f.mul_i(top, inv_lead)
+                    for j, c in enumerate(divisor.coeffs[:-1]):
+                        if c:
+                            rem[shift + j] = f.sub_i(rem[shift + j], f.mul_i(factor, c))
+            rem = rem[:db]
         while rem and rem[-1] == 0:
             rem.pop()
         return Polynomial(f, tuple(quot)), Polynomial(f, tuple(rem))
@@ -200,10 +242,19 @@ class Polynomial:
 
     def evaluate_embedded(self, point: FieldElement, embed: Sequence[int]) -> int:
         """Horner evaluation at an extension-field point, coefficients lifted via `embed`."""
-        ext = point.field
+        ext, x = point.field, point.value
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = ext.add_i(ext.mul_i(acc, point.value), embed[c])
+        if ext.m == 1:
+            for c in reversed(self.coeffs):
+                acc = (acc * x + embed[c]) % ext.p
+        elif ext.p == 2 and ext._log is not None and x:
+            exp, log = ext._exp, ext._log
+            lx = log[x]
+            for c in reversed(self.coeffs):
+                acc = (exp[log[acc] + lx] if acc else 0) ^ embed[c]
+        else:
+            for c in reversed(self.coeffs):
+                acc = ext.add_i(ext.mul_i(acc, x), embed[c])
         return acc
 
     # -- rendering -------------------------------------------------------------

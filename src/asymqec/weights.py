@@ -2,11 +2,15 @@
 
 Every distance is read off two facts cached per code:
 
-- a scan of the code's own messages that stops at a word of weight equal to
-  the consecutive-root lower bound (then exact), capped at the message count
-  of the cheaper side. Over GF(2) it is a Gray-code walk with one row XOR per
-  step on integer bitmasks; for q > 2 it walks one representative per
-  projective class, adding one cached scaled row per changed digit;
+- a scan of the code's own projective classes (leading message digit 1)
+  that stops at a word of weight equal to the consecutive-root lower bound
+  (then exact), capped at the class count of the cheaper side. Over GF(2^m),
+  GF(2) included, a word is m n-bit planes in one int: per lead row i the
+  scan starts at row i and Gray-walks the GF(2)-expansion of rows i+1..,
+  one XOR per class, and a weight is the popcount of the OR of the planes.
+  The distribution walks and the fibers below run the same kernel. For odd
+  p it walks the classes as coordinate lists, adding one cached scaled row
+  per changed digit;
 - the weight distribution, from the cheaper side: the code's own words when
   k <= n - k, otherwise the MacWilliams transform (Krawtchouk columns by
   their three-term recurrence) of the dual's distribution.
@@ -18,7 +22,7 @@ o_s = lcm(n / gcd(n, s), q - 1) words, each mapping a + rest (rest: the other
 ideals) onto a fiber of the same weights. So with the lead ideal of largest
 o_s, A(code) = A(rest) + o_s * sum of hist(a + rest) over one a per orbit.
 This split is used when its reps * q^(k - d) + q^d words are fewer than the
-direct walk's 2^k - 1 words or (q^k - 1)/(q - 1) projective classes.
+direct walk's (q^k - 1)/(q - 1) projective classes.
 
 `min_weight` is the scan's minimum when the scan reached the bound or walked
 the whole code, and otherwise the first nonzero weight of the distribution.
@@ -28,10 +32,10 @@ inner is heavier and the answer is d(outer); otherwise it is the first w > 0
 with A_w(outer) > A_w(inner), exact because inner lies inside outer. So a
 search walks each code of a length at most twice, whatever its pair count.
 
-`enumerated` counts the codewords accounted for in an answer: the messages
-scanned plus, per distribution read, the cheaper side's 2^k - 1 words or
-(q^k - 1)/(q - 1) classes for q > 2, cached or not, walked one by one or met
-in orbits. `early_stop=False` skips the scan; `workers` is ignored.
+`enumerated` counts the codewords accounted for in an answer: the classes
+scanned plus, per distribution read, the cheaper side's (q^k - 1)/(q - 1)
+classes, cached or not, walked one by one or met in orbits.
+`early_stop=False` skips the scan; `workers` is ignored.
 
 An inner code equal to the outer one leaves an empty difference; this arises
 exactly for derived codes with zero logical dimension, where the convention
@@ -44,7 +48,7 @@ import operator
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import galois
 from .cyclic import CyclicCode, from_defining_set, generator_matrix
@@ -89,30 +93,86 @@ def bound_only_report(code: CyclicCode, budget: int) -> WeightReport:
 
 
 # ---------------------------------------------------------------------------
-# Scan kernels: each walks messages 1..cap and returns (minimum, messages
-# walked), stopping at the first weight <= lb
+# Characteristic 2: a word over GF(2^m) is m n-bit planes in one int, bit
+# c*n + j holding bit c of coordinate j, so adding two words is one XOR. A
+# generator row r expands over GF(2) into the m rows (1 << b) * r, and d * r is
+# the XOR of those for the set bits of d.
 # ---------------------------------------------------------------------------
 
-def _scan_binary(rows: Sequence[int], cap: int, lb: int) -> tuple[int, int]:
-    """Gray walk over the first `cap` messages."""
-    cw = 0
-    best = _INF
-    for t in range(1, cap + 1):
-        cw ^= rows[(t & -t).bit_length() - 1]
-        w = cw.bit_count()
-        if w < best:
-            best = w
-            if best <= lb:
-                return best, t
-    return best, cap
+def _pack(n: int, word: Iterable[int]) -> int:
+    """The planes of a word over GF(2^m)."""
+    packed = 0
+    for j, x in enumerate(word):
+        for c in range(x.bit_length()):
+            if (x >> c) & 1:
+                packed |= 1 << (c * n + j)
+    return packed
 
+
+def _plane_rows(code: CyclicCode) -> list[list[int]]:
+    """Per generator row x^i g, the planes of its GF(2)-expansion (1 << b) * x^i g."""
+    field, g = code.field, code.generator_polynomial.coeffs
+    expansion = [_pack(code.n, [field.mul_i(1 << b, c) for c in g]) for b in range(field.m)]
+    # deg g + i < n, so shifting the planes shifts every coordinate within its plane
+    return [[row << i for row in expansion] for i in range(code.k)]
+
+
+def _plane_walk(start: int, rows: Sequence[int], n: int, m: int, counts: list[int],
+                cap: int, lb: int = -1) -> int:
+    """Add to `counts` the weight of `start` plus each GF(2) combination of `rows`
+    in Gray order, at most `cap` words and stopping after the first of weight
+    <= lb; returns the words walked. A weight is the popcount of the OR of
+    the m planes."""
+    limit = min(cap, 1 << len(rows))
+    rows = [*rows, 0]  # step 0 flips rows[-1], the zero row, so the walk starts at `start`
+    word = start
+    if m == 1:  # a single plane needs no fold
+        for t in range(limit):
+            word ^= rows[(t & -t).bit_length() - 1]
+            w = word.bit_count()
+            counts[w] += 1
+            if w <= lb:
+                return t + 1
+        return limit
+    mask, shifts, planes = (1 << n) - 1, [], m
+    while planes > 1:  # OR the upper half of the planes onto the lower half
+        planes = (planes + 1) // 2
+        shifts.append(planes * n)
+    for t in range(limit):
+        word ^= rows[(t & -t).bit_length() - 1]
+        x = word
+        for s in shifts:
+            x |= x >> s
+        w = (x & mask).bit_count()
+        counts[w] += 1
+        if w <= lb:
+            return t + 1
+    return limit
+
+
+def _plane_scan(code: CyclicCode, counts: list[int], cap: int, lb: int = -1) -> int:
+    """Projective walk over GF(2^m): per lead i, row i plus every combination
+    of the expansion of rows i+1.., so q^(k-1-i) words per lead; at most `cap`
+    words, stopping after the first weight <= lb. Returns the words walked."""
+    rows, m, walked = _plane_rows(code), code.field.m, 0
+    for i, lead in enumerate(rows):
+        if walked >= cap or any(counts[1:lb + 1]):
+            break
+        later = [r for row in rows[i + 1:] for r in row]
+        walked += _plane_walk(lead[0], later, code.n, m, counts, cap - walked, lb)
+    return walked
+
+
+# ---------------------------------------------------------------------------
+# Odd characteristic: words as coordinate lists
+# ---------------------------------------------------------------------------
 
 def _walk(field: galois.Field, rows: Sequence[Sequence[int]],
           start: Sequence[int]) -> Iterator[list[int]]:
     """Yield `start` plus each GF(q) combination of `rows`, digits counted base q
     with the last row fastest; the yielded list is one word updated in place."""
     add, mul, sub = field.add_i, field.mul_i, field.sub_i
-    q, xor, last = field.q, field.p == 2, len(rows) - 1
+    q, last = field.q, len(rows) - 1
     # moves[i][d]: the (position, change) pairs taking digit i from d to d + 1 mod q
     moves: list[list] = [[None] * q for _ in rows]
     word, digits = list(start), [0] * len(rows)
@@ -124,12 +184,8 @@ def _walk(field: galois.Field, rows: Sequence[Sequence[int]],
         if move is None:
             c = sub((d + 1) % q, d)
             move = moves[pos][d] = [(j, mul(c, x)) for j, x in enumerate(rows[pos]) if x]
-        if xor:
-            for j, x in move:
-                word[j] ^= x
-        else:
-            for j, x in move:
-                word[j] = add(word[j], x)
+        for j, x in move:
+            word[j] = add(word[j], x)
         if d == q - 1:
             digits[pos] = 0
             pos -= 1
@@ -168,13 +224,14 @@ def _scan_qary(field: galois.Field, rows: Sequence[Sequence[int]], cap: int,
 _MIN_CACHE: dict[tuple[CyclicCode, bool], tuple[int, int, frozenset[CyclicCode]]] = {}
 #: code -> (weight distribution, the code walked for it)
 _DIST_CACHE: dict[CyclicCode, tuple[Distribution, CyclicCode]] = {}
-#: (n, q, coset representative) -> one word per orbit of the minimal ideal
-_ORBIT_CACHE: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+#: (n, q, coset representative) -> one word per orbit of the minimal ideal, as
+#: packed planes over GF(2^m) and coordinate tuples otherwise
+_ORBIT_CACHE: dict[tuple[int, int, int], tuple] = {}
 
 
 def _messages(q: int, k: int) -> int:
-    """Words walked for a code of dimension k: 2^k - 1, or the projective classes."""
-    return (1 << k) - 1 if q == 2 else (q**k - 1) // (q - 1)
+    """Words walked for a code of dimension k: its projective classes."""
+    return (q**k - 1) // (q - 1)
 
 
 def _words(scanned: int, walked: frozenset[CyclicCode]) -> int:
@@ -202,11 +259,12 @@ def _min(code: CyclicCode, early_stop: bool) -> tuple[int, int, frozenset[Cyclic
         lb = code.designed_distance_bound
         total = _messages(code.q, code.k)
         cap = _messages(code.q, min(code.k, code.n - code.k)) if early_stop else 0
-        matrix = generator_matrix(code)
-        if code.q == 2:
-            best, scanned = _scan_binary(matrix.bitmask_rows(), cap, lb)
+        if code.q % 2 == 0:
+            counts = [0] * (code.n + 1)
+            scanned = _plane_scan(code, counts, cap, lb)
+            best = next((w for w, c in enumerate(counts) if c), _INF)
         else:
-            best, scanned = _scan_qary(code.field, matrix.rows, cap, lb)
+            best, scanned = _scan_qary(code.field, generator_matrix(code).rows, cap, lb)
         walked: frozenset[CyclicCode] = frozenset()
         if best > lb and scanned < total:
             dist, walked_code = _distribution(code)
@@ -313,58 +371,110 @@ def _lead(code: CyclicCode) -> CyclotomicCoset:
                key=lambda c: (_orbit_size(n, q, c.representative), -c.representative))
 
 
-def _orbit_representatives(n: int, q: int, coset: CyclotomicCoset) -> tuple[tuple[int, ...], ...]:
-    """One word of each orbit of the shifts and nonzero scalars on M_s minus 0.
+def _orbit_representatives(n: int, q: int, coset: CyclotomicCoset) -> tuple:
+    """One word of each orbit of the shifts and nonzero scalars on M_s minus 0:
+    packed planes over GF(2^m), coordinate tuples otherwise.
 
     Each unmarked word of M_s opens an orbit, closed under one rotation and
-    one primitive scalar; words are marked by their first d coordinates, an
-    information set of any [n, d] cyclic code.
+    one primitive scalar (over GF(2^m): the rotation cycles of its scalar
+    multiples); words are marked by their first d coordinates, an
+    information set of any [n, d] cyclic code. An orbit of other than o_s
+    words raises InternalConsistencyError.
     """
     key = (n, q, coset.representative)
     if key not in _ORBIT_CACHE:
         ideal = from_defining_set(n, q, set(range(n)).difference(coset.members))
-        field, powers = ideal.field, [q**i for i in range(ideal.k)]
-        scale = [field.mul_i(field.alpha.value, x) for x in range(q)].__getitem__
-        seen, reps, size = bytearray(q**ideal.k), [], _orbit_size(n, q, coset.representative)
-        seen[0] = 1  # the zero word
-        for word in map(tuple, _walk(field, generator_matrix(ideal).rows, [0] * n)):
-            stack, count = [word], 0
-            while stack:
-                x = stack.pop()
-                i = sum(map(operator.mul, x, powers))
-                if not seen[i]:
-                    seen[i] = 1
-                    count += 1
-                    stack += (x[-1:] + x[:-1], tuple(map(scale, x)))
-            if count:
-                reps.append(word)
-                if count != size:
-                    raise InternalConsistencyError(
-                        f"an orbit of M_s, s in {coset} mod {n}, has {count} words, not {size}")
-        _ORBIT_CACHE[key] = tuple(reps)
+        build = _plane_orbits if q % 2 == 0 else _tuple_orbits
+        _ORBIT_CACHE[key] = build(ideal, coset, _orbit_size(n, q, coset.representative))
     return _ORBIT_CACHE[key]
 
 
-def _gray_counts(rows: Sequence[int], start: int, counts: list[int]) -> None:
-    """Count the weight of `start` plus every GF(2) combination of `rows`."""
-    cw = start
-    counts[cw.bit_count()] += 1
+def _orbit_closed(count: int, size: int, coset: CyclotomicCoset) -> None:
+    if count != size:
+        raise InternalConsistencyError(
+            f"an orbit of M_s, s in {coset} mod {coset.n}, has {count} words, not {size}")
+
+
+def _plane_orbits(ideal: CyclicCode, coset: CyclotomicCoset, size: int) -> tuple[int, ...]:
+    n, m, d = ideal.n, ideal.field.m, ideal.k
+    full = (1 << (m * n)) - 1
+    wrap = sum(1 << (c * n) for c in range(m))  # coordinate 0 of each plane
+    keep, last = full ^ wrap, n - 1
+    # alpha * x: plane c moves to c + 1 and the top plane folds back through
+    # x^m = the lower terms of the modulus
+    top = (m - 1) * n
+    spread = sum(1 << (c * n) for c in range(m) if ideal.field.modulus[c])
+    # the first d coordinates of every plane, gathered into m*d bits
+    gather = [(c * (n - d), ((1 << d) - 1) << (c * d)) for c in range(m)]
+
+    def gathered(x: int) -> int:
+        i = 0
+        for shift, mask in gather:
+            i |= (x >> shift) & mask
+        return i
+
+    # over GF(2) the index is the low d bits, taken without a Python-level call
+    index = ((1 << d) - 1).__and__ if m == 1 else gathered
+    seen = bytearray(1 << (m * d))
+    seen[0] = 1  # the zero word
+    reps = []
+    rows = [r for row in _plane_rows(ideal) for r in row]
+    word = 0
     for t in range(1, 1 << len(rows)):
-        cw ^= rows[(t & -t).bit_length() - 1]
-        counts[cw.bit_count()] += 1
+        word ^= rows[(t & -t).bit_length() - 1]
+        if seen[index(word)]:
+            continue
+        # the orbit is the rotation cycles of the multiples alpha^a * word
+        count, y = 0, word
+        for _ in range(ideal.q - 1):
+            if not seen[index(y)]:
+                x = y
+                while True:
+                    seen[index(x)] = 1
+                    count += 1
+                    x = ((x << 1) & keep) | ((x >> last) & wrap)  # one cyclic shift
+                    if x == y:
+                        break
+            y = ((y << n) & full) ^ (y >> top) * spread
+        reps.append(word)
+        _orbit_closed(count, size, coset)
+    return tuple(reps)
+
+
+def _tuple_orbits(ideal: CyclicCode, coset: CyclotomicCoset,
+                  size: int) -> tuple[tuple[int, ...], ...]:
+    n, q, field = ideal.n, ideal.q, ideal.field
+    powers = [q**i for i in range(ideal.k)]
+    scale = [field.mul_i(field.alpha.value, x) for x in range(q)].__getitem__
+    seen, reps = bytearray(q**ideal.k), []
+    seen[0] = 1  # the zero word
+    for word in map(tuple, _walk(field, generator_matrix(ideal).rows, [0] * n)):
+        stack, count = [word], 0
+        while stack:
+            x = stack.pop()
+            i = sum(map(operator.mul, x, powers))
+            if not seen[i]:
+                seen[i] = 1
+                count += 1
+                stack += (x[-1:] + x[:-1], tuple(map(scale, x)))
+        if count:
+            reps.append(word)
+            _orbit_closed(count, size, coset)
+    return tuple(reps)
 
 
 def _distribution_split(code: CyclicCode, lead: CyclotomicCoset) -> Distribution:
     """A(code) = A(rest) + o_s * sum of hist(a + rest) over orbit representatives a."""
     n, q = code.n, code.q
     rest = from_defining_set(n, q, code.T.members.union(lead.members))
-    matrix = generator_matrix(rest)
-    rows = matrix.bitmask_rows() if q == 2 else matrix.rows
     fibers = [0] * (n + 1)
-    for a in _orbit_representatives(n, q, lead):
-        if q == 2:
-            _gray_counts(rows, sum(x << j for j, x in enumerate(a)), fibers)
-        else:
+    if q % 2 == 0:
+        rows = [r for row in _plane_rows(rest) for r in row]
+        for a in _orbit_representatives(n, q, lead):
+            _plane_walk(a, rows, n, code.field.m, fibers, _INF)
+    else:
+        rows = generator_matrix(rest).rows
+        for a in _orbit_representatives(n, q, lead):
             for word in _walk(code.field, rows, a):
                 fibers[n - word.count(0)] += 1
     counts = [_orbit_size(n, q, lead.representative) * c for c in fibers]
@@ -383,12 +493,13 @@ def _distribution_direct(code: CyclicCode) -> Distribution:
     if reps * q ** (code.k - d) + q**d < _messages(q, code.k):
         return _distribution_split(code, lead)
     counts = [0] * (code.n + 1)
-    if q == 2:
-        _gray_counts(generator_matrix(code).bitmask_rows(), 0, counts)
+    if q % 2 == 0:
+        _plane_scan(code, counts, _INF)
     else:
-        counts[0] = 1
         for word in _projective_walk(code.field, generator_matrix(code).rows):
-            counts[code.n - word.count(0)] += q - 1
+            counts[code.n - word.count(0)] += 1
+    counts = [(q - 1) * c for c in counts]
+    counts[0] = 1
     return tuple((w, c) for w, c in enumerate(counts) if c)
 
 

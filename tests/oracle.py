@@ -2,7 +2,8 @@
 
 GF(2) codeword sets are built by folding the span of generator rows
 (bitmask ints), duals by nullspace computation on those rows; GF(q) spans
-multiply every message with the generator rows. Everything here is
+multiply every message with the generator rows; polynomial products and
+long division are schoolbook loops of field operations. Everything here is
 independent of the defining-set calculus and the weight kernels under test,
 except `css_pairs`, the all-pairs reference for the css search, which asks
 `contains` (sets and both polynomial divisions) of every pair of codes.
@@ -86,6 +87,20 @@ def span_q(rows: Sequence[Sequence[int]], n: int, field) -> frozenset[tuple[int,
     return frozenset(words)
 
 
+def xor_combinations(start: int, rows: Sequence[int]) -> list[int]:
+    """`start` XOR each of the 2^len(rows) subsets of rows, repeats kept."""
+    words = [start]
+    for row in rows:
+        words += [w ^ row for w in words]
+    return words
+
+
+def unpack_planes(packed: int, n: int, m: int) -> tuple[int, ...]:
+    """The coordinates of a GF(2^m) word stored as m n-bit planes in one int,
+    bit c*n + j holding bit c of coordinate j."""
+    return tuple(sum((packed >> (c * n + j) & 1) << c for c in range(m)) for j in range(n))
+
+
 def weight_q(word: Sequence[int]) -> int:
     return sum(1 for x in word if x)
 
@@ -130,3 +145,32 @@ def macwilliams_transform(dist: Sequence[tuple[int, int]], n: int, q: int,
         if b:
             out.append((j, b))
     return tuple(out)
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int], field) -> list[int]:
+    """Schoolbook product of ascending coefficient lists, one field call per
+    term, trailing zeros stripped."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add_i(out[i + j], field.mul_i(x, y))
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_div_rem(a: Sequence[int], b: Sequence[int], field) -> tuple[list[int], list[int]]:
+    """Schoolbook long division of ascending coefficient lists (b nonzero, no
+    trailing zeros): cancel the leading term of the remainder until its
+    degree drops below deg b."""
+    rem, quot = list(a), [0] * max(0, len(a) - len(b) + 1)
+    inv = field.inv_i(b[-1])
+    while rem and len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        factor = field.mul_i(rem[-1], inv)
+        quot[shift] = factor
+        for j, c in enumerate(b):
+            rem[shift + j] = field.sub_i(rem[shift + j], field.mul_i(factor, c))
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem

@@ -20,11 +20,19 @@ from asymqec.aqec import (
     subsystem_euclidean,
     subsystem_to_stabilizer,
     trade_dimension,
+    _roots_of,
 )
 from asymqec.cyclic import CheckMatrix, CyclicCode, bch, from_defining_set, generator_matrix
 from asymqec.errors import NotNested
-from asymqec.galois import make_field
-from asymqec.polyring import coset_of, minimal_polynomial, parse_poly
+from asymqec.galois import make_field, nth_root_field, prime_power, subfield_embedding
+from asymqec.polyring import (
+    coset_of,
+    coset_unions,
+    cyclotomic_cosets,
+    mask_residues,
+    minimal_polynomial,
+    parse_poly,
+)
 from asymqec.search import all_cyclic_codes
 
 F2 = make_field(2)
@@ -154,6 +162,26 @@ def test_extend_by_polynomial_errors():
     non_monic = parse_poly("a*x + a", make_field(2, 2))  # a*(x + 1)
     with pytest.raises(ValueError, match="monic"):
         extend_by_polynomial(gf4_code, non_monic)
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (21, 2), (8, 3), (9, 4), (7, 8)])
+def test_roots_of_matches_evaluation_at_every_residue(n, q):
+    ext, alpha = nth_root_field(n, q)
+    embed, _ = subfield_embedding(make_field(*prime_power(q)), ext)
+    for mask in coset_unions(cyclotomic_cosets(n, q)):
+        if not mask:
+            continue
+        code = from_defining_set(n, q, mask_residues(mask))
+        f = code.generator_polynomial
+        expected = set()
+        for i in range(n):  # Horner at alpha^i by plain field calls
+            x, acc = ext.pow_i(alpha.value, i), 0
+            for c in reversed(f.coeffs):
+                acc = ext.add_i(ext.mul_i(acc, x), embed[c])
+            if acc == 0:
+                expected.add(i)
+        assert expected == code.T.members
+        assert _roots_of(f, code) == expected
 
 
 def test_extend_by_defining_set_example():

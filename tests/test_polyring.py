@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+import oracle
 from asymqec.galois import FieldElement, field_of_size, make_field, nth_root_field, subfield_embedding
 from asymqec.polyring import (
     NEG_INF,
@@ -77,6 +78,53 @@ def test_div_rem_round_trip_random(field, seed):
         q, r = a.div_rem(b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+# GF(9) has odd characteristic and m > 1, so it runs the field-call loops
+ORACLE_FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
+                 make_field(2, 3), make_field(3, 2)]
+
+
+def random_poly(rng, field, length):
+    return Polynomial.from_coeffs(field, [rng.randrange(field.q) for _ in range(length)])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_div_rem_and_mul_match_the_schoolbook_oracle(field):
+    rng = random.Random(field.q)
+    for _ in range(1500):
+        d = random_poly(rng, field, rng.randrange(1, 7))
+        if d.is_zero:
+            continue
+        if field.q > 2 and rng.random() < 0.5:  # non-monic divisors
+            d = d.scale(rng.randrange(2, field.q))
+        c = random_poly(rng, field, rng.randrange(8))
+        shorter = random_poly(rng, field, rng.randrange(len(d.coeffs)))
+        for a in (random_poly(rng, field, rng.randrange(12)), c * d, shorter):
+            quot, rem = a.div_rem(d)
+            assert [list(quot.coeffs), list(rem.coeffs)] == list(
+                oracle.poly_div_rem(a.coeffs, d.coeffs, field))
+            assert quot * d + rem == a
+            assert rem.degree < d.degree
+        assert (c * d).div_rem(d) == (c, Polynomial.zero(field))
+        assert shorter.div_rem(d) == (Polynomial.zero(field), shorter)
+        assert list((c * d).coeffs) == oracle.poly_mul(c.coeffs, d.coeffs, field)
+        assert list((d * c).coeffs) == oracle.poly_mul(d.coeffs, c.coeffs, field)
+
+
+@pytest.mark.parametrize("base,ext", [
+    ((2, 1), (2, 4)), ((3, 1), (3, 2)), ((2, 2), (2, 6)), ((5, 1), (5, 1)),
+    ((5, 1), (5, 2)), ((2, 3), (2, 6)), ((3, 2), (3, 4)),
+], ids=str)
+def test_evaluate_embedded_matches_evaluate_of_the_lifted_polynomial(base, ext):
+    base, ext = make_field(*base), make_field(*ext)
+    embed, _ = subfield_embedding(base, ext)
+    rng = random.Random(ext.q)
+    for _ in range(40):
+        f = random_poly(rng, base, rng.randrange(9))
+        lifted = Polynomial.from_coeffs(ext, [embed[c] for c in f.coeffs])
+        for point in ext.elements():
+            assert f.evaluate_embedded(point, embed) == lifted.evaluate(point).value
 
 
 def test_gcd_divides_both():

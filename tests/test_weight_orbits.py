@@ -15,7 +15,8 @@ import pytest
 import oracle
 import asymqec.weights
 from asymqec.cyclic import bch, from_defining_set, generator_matrix, hamming
-from asymqec.galois import clear_modulus_overrides, make_field, set_modulus_override
+from asymqec.errors import InternalConsistencyError
+from asymqec.galois import clear_modulus_overrides, make_field, prime_power, set_modulus_override
 from asymqec.polyring import cyclotomic_cosets
 from asymqec.search import all_cyclic_codes
 from asymqec.weights import weight_distribution
@@ -48,6 +49,14 @@ def ideal_words(n, q, coset):
     return ideal, oracle.span_q(generator_matrix(ideal).rows, n, ideal.field)
 
 
+def representatives(n, q, coset):
+    """The orbit representatives of M_s as coordinate tuples (characteristic 2
+    builds them as packed planes)."""
+    field = make_field(*prime_power(q))
+    reps = asymqec.weights._orbit_representatives(n, q, coset)
+    return [oracle.unpack_planes(a, n, field.m) for a in reps] if field.p == 2 else reps
+
+
 def orbit(word, field):
     """Closure of a word under every cyclic shift and every nonzero scalar."""
     out = set()
@@ -76,7 +85,7 @@ def test_orbits_partition_each_minimal_ideal(n, q):
             continue
         ideal, words = ideal_words(n, q, coset)
         field = ideal.field
-        reps = asymqec.weights._orbit_representatives(n, q, coset)
+        reps = representatives(n, q, coset)
         size = shift_scalar_order(n, q, coset.representative)
         assert asymqec.weights._orbit_size(n, q, coset.representative) == size
         covered = set()
@@ -87,6 +96,16 @@ def test_orbits_partition_each_minimal_ideal(n, q):
             covered |= found
         assert len(reps) * size == q**ideal.k - 1
         assert covered == words - {(0,) * n}
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (9, 4), (8, 3)])
+def test_an_orbit_of_the_wrong_size_raises(n, q, monkeypatch):
+    fresh()
+    real = asymqec.weights._orbit_size
+    monkeypatch.setattr(asymqec.weights, "_orbit_size", lambda n, q, s: real(n, q, s) + 1)
+    with pytest.raises(InternalConsistencyError, match="words, not"):
+        asymqec.weights._orbit_representatives(n, q, cyclotomic_cosets(n, q)[1])
+    assert not asymqec.weights._ORBIT_CACHE
 
 
 @pytest.mark.parametrize("n,q", LENGTHS)
@@ -143,7 +162,7 @@ def test_orbit_cache_follows_a_modulus_override():
         for (n, q, s), reps in asymqec.weights._ORBIT_CACHE.items():
             # every coset mod 7 over GF(8) is a single residue
             ideal = from_defining_set(n, q, set(range(n)) - {s})
-            assert all(ideal.is_codeword(a) for a in reps)
+            assert all(ideal.is_codeword(oracle.unpack_planes(a, n, 3)) for a in reps)
     finally:
         clear_modulus_overrides()
         fresh()

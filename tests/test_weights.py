@@ -341,6 +341,45 @@ def test_qary_kernels_against_brute_force_span(n, q):
             assert report.enumerated == sum(messages(c) for c in walked)
 
 
+@pytest.mark.parametrize("n,q", [(9, 4), (7, 8), (5, 16)])
+def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
+    real_walk = asymqec.weights._plane_walk
+    calls = []
+
+    def recording_walk(start, rows, length, m, counts, cap, lb=-1):
+        before = list(counts)
+        walked = real_walk(start, rows, length, m, counts, cap, lb)
+        calls.append((start, list(rows), walked, [a - b for a, b in zip(counts, before)]))
+        return walked
+
+    monkeypatch.setattr(asymqec.weights, "_plane_walk", recording_walk)
+    for code in all_cyclic_codes(n, q):
+        if code.k == 0 or q**code.k > 4**6:
+            continue
+        field, rows = code.field, generator_matrix(code).rows
+        # the scan visits each projective class once: every recorded walk is
+        # its start plus every combination of its rows, with the weights it counted
+        calls.clear()
+        asymqec.weights._plane_scan(code, [0] * (n + 1), asymqec.weights._INF)
+        visited = Counter()
+        for start, walk_rows, walked, added in calls:
+            words = [oracle.unpack_planes(w, n, field.m)
+                     for w in oracle.xor_combinations(start, walk_rows)]
+            assert walked == len(words)
+            histogram = Counter(oracle.weight_q(w) for w in words)
+            assert added == [histogram[w] for w in range(n + 1)]
+            visited.update(words)
+        assert visited == Counter(map(tuple, asymqec.weights._projective_walk(field, rows)))
+        words = oracle.span_q(rows, n, field)
+        expected = tuple(sorted(Counter(oracle.weight_q(w) for w in words).items()))
+        for early in (True, False):
+            fresh()
+            assert min_weight(code, early_stop=early).value == expected[1][0]
+        assert weight_distribution(code) == expected
+        lead = asymqec.weights._lead(code)
+        assert asymqec.weights._distribution_split(code, lead) == expected
+
+
 @pytest.mark.parametrize("n,q", [(31, 2), (13, 3), (9, 4)])
 def test_min_weight_walks_at_most_twice_the_cheaper_side(n, q):
     fresh()
