@@ -44,8 +44,8 @@ EXIT_INCONSISTENT = 4
 
 
 def _emit_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one write: json.dump with an indent writes every token separately
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_csv(rows: list[dict], fieldnames: list[str]) -> None:

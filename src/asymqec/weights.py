@@ -4,13 +4,14 @@ Every distance is read off two facts cached per code:
 
 - a scan of the code's own projective classes (leading message digit 1)
   that stops at a word of weight equal to the consecutive-root lower bound
-  (then exact), capped at the class count of the cheaper side. Over GF(2^m),
-  GF(2) included, a word is m n-bit planes in one int: per lead row i the
-  scan starts at row i and Gray-walks the GF(2)-expansion of rows i+1..,
-  one XOR per class, and a weight is the popcount of the OR of the planes.
-  The distribution walks and the fibers below run the same kernel. For odd
-  p it walks the classes as coordinate lists, adding one cached scaled row
-  per changed digit;
+  (then exact), capped at the class count of the cheaper side. Over every
+  GF(p^m) a word is m planes of n lanes in one int (one bit per lane over
+  characteristic 2; over odd p a few bits with a guard bit, so that one
+  integer sum and a guard correction add two words). Per lead row i the
+  scan starts at row i and Gray-walks the GF(p)-expansion of rows i+1..,
+  one addition per class, and a weight is the popcount of the OR of the
+  planes' nonzero lanes. The distribution walks, the fibers and the orbit
+  builder below walk the same words;
 - the weight distribution, from the cheaper side: the code's own words when
   k <= n - k, otherwise the MacWilliams transform (Krawtchouk columns by
   their three-term recurrence) of the dual's distribution.
@@ -44,14 +45,13 @@ is the minimum weight of the full outer code, and that is what is reported.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import galois
-from .cyclic import CyclicCode, from_defining_set, generator_matrix
+from .cyclic import CyclicCode, from_defining_set
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
 from .polyring import CyclotomicCoset, cyclotomic_cosets
 
@@ -93,127 +93,146 @@ def bound_only_report(code: CyclicCode, budget: int) -> WeightReport:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic 2: a word over GF(2^m) is m n-bit planes in one int, bit
-# c*n + j holding bit c of coordinate j, so adding two words is one XOR. A
-# generator row r expands over GF(2) into the m rows (1 << b) * r, and d * r is
-# the XOR of those for the set bits of d.
+# Packed words: over GF(p^m) a word is m planes of n lanes in one int, lane j
+# of plane c (bits from (c*n + j) * W) holding digit c of coordinate j. Over
+# characteristic 2 a lane is one bit and adding two words is one XOR. Over odd
+# p a lane is L bits, 2^L >= p, plus a guard bit L: the sum s of two words
+# leaves each lane at a + b <= 2p - 2, and s plus 2^L - p in every lane sets
+# the guard exactly where a + b >= p, carrying into no other lane (a + b +
+# 2^L - p < 2^(L+1) as p - 2 < 2^L), so the sum mod p is s minus p times
+# those guard bits.
 # ---------------------------------------------------------------------------
 
-def _pack(n: int, word: Iterable[int]) -> int:
-    """The planes of a word over GF(2^m)."""
-    packed = 0
-    for j, x in enumerate(word):
-        for c in range(x.bit_length()):
-            if (x >> c) & 1:
-                packed |= 1 << (c * n + j)
-    return packed
+def _lane_bits(p: int) -> int:
+    """W, the bits of a lane: one over characteristic 2, else L plus the guard."""
+    return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
-def _plane_rows(code: CyclicCode) -> list[list[int]]:
-    """Per generator row x^i g, the planes of its GF(2)-expansion (1 << b) * x^i g."""
-    field, g = code.field, code.generator_polynomial.coeffs
-    expansion = [_pack(code.n, [field.mul_i(1 << b, c) for c in g]) for b in range(field.m)]
+def _lanes(lanes: int, width: int, value: int) -> int:
+    """`value` in each of the low `lanes` lanes of `width` bits."""
+    return value * ((1 << lanes * width) - 1) // ((1 << width) - 1)
+
+
+def _guards(lanes: int, p: int) -> tuple[int, int, int]:
+    """(L, 2^L - p in every lane, the guard bit of every lane) for odd p."""
+    bit = _lane_bits(p) - 1
+    return bit, _lanes(lanes, bit + 1, (1 << bit) - p), _lanes(lanes, bit + 1, 1 << bit)
+
+
+def _adder(n: int, p: int, m: int) -> Callable[[int, int], int]:
+    """The sum of two packed words of length n over GF(p^m)."""
+    if p == 2:
+        return int.__xor__
+    guard_bit, offset, guards = _guards(m * n, p)
+
+    def add(x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + offset) & guards) >> guard_bit) * p
+
+    return add
+
+
+def _pack(n: int, field: galois.Field, word: Iterable[int]) -> int:
+    """The planes of a word over GF(p^m)."""
+    p, width = field.p, _lane_bits(field.p)
+    return sum(x // p**c % p << (c * n + j) * width
+               for j, x in enumerate(word) for c in range(field.m))
+
+
+def _plane_rows(code: CyclicCode) -> list[int]:
+    """The GF(p)-expansion alpha^b * x^i g of the generator rows, m per row."""
+    field, g, n = code.field, code.generator_polynomial.coeffs, code.n
+    expansion = [_pack(n, field, [field.mul_i(field.p**b, c) for c in g]) for b in range(field.m)]
     # deg g + i < n, so shifting the planes shifts every coordinate within its plane
-    return [[row << i for row in expansion] for i in range(code.k)]
+    width = _lane_bits(field.p)
+    return [row << i * width for i in range(code.k) for row in expansion]
 
 
-def _plane_walk(start: int, rows: Sequence[int], n: int, m: int, counts: list[int],
-                cap: int, lb: int = -1) -> int:
-    """Add to `counts` the weight of `start` plus each GF(2) combination of `rows`
+def _steps(rows: Sequence[int], p: int) -> Iterator[int]:
+    """The zero row, then rows[v_p(t)] for t = 1 .. p^k - 1 (k rows). From t - 1
+    to t the p-ary Gray code of t (digit i: t_i - t_(i+1) mod p) moves only
+    digit v_p(t), up by one, so adding these to a start word walks the start
+    plus each GF(p) combination of the rows once. The first half of the rows
+    runs from one list, the rest carries between its repeats."""
+    def ruler(part: Sequence[int]) -> list[int]:
+        seq: list[int] = []
+        for row in part:
+            seq = (seq + [row]) * (p - 1) + seq
+        return seq
+
+    half = len(rows) // 2
+    block, carries = [0, *ruler(rows[:half])], [0, *ruler(rows[half:])]
+
+    def blocks() -> Iterator[list[int]]:
+        for carry in carries:
+            block[0] = carry
+            yield block
+
+    return chain.from_iterable(blocks())
+
+
+def _plane_walk(start: int, rows: Sequence[int], n: int, field: galois.Field,
+                counts: list[int], cap: int, lb: int = -1) -> int:
+    """Add to `counts` the weight of `start` plus each GF(p) combination of `rows`
     in Gray order, at most `cap` words and stopping after the first of weight
     <= lb; returns the words walked. A weight is the popcount of the OR of
-    the m planes."""
-    limit = min(cap, 1 << len(rows))
-    rows = [*rows, 0]  # step 0 flips rows[-1], the zero row, so the walk starts at `start`
+    the m planes' nonzero lanes."""
+    p, m = field.p, field.m
+    limit, width, reached = min(cap, p ** len(rows)), _lane_bits(p), 0
+    while p**reached < limit:  # steps t < limit add only rows[v_p(t)] with p^v_p(t) <= t
+        reached += 1
+    steps = zip(range(limit), _steps(rows[:reached], p))
+    shifts, planes = [], m
+    while planes > 1:  # OR the upper half of the planes onto the lower half
+        planes = (planes + 1) // 2
+        shifts.append(planes * n * width)
     word = start
-    if m == 1:  # a single plane needs no fold
-        for t in range(limit):
-            word ^= rows[(t & -t).bit_length() - 1]
+    if p == 2 and m == 1:  # a single plane needs no fold
+        for t, row in steps:
+            word ^= row
             w = word.bit_count()
             counts[w] += 1
             if w <= lb:
                 return t + 1
-        return limit
-    mask, shifts, planes = (1 << n) - 1, [], m
-    while planes > 1:  # OR the upper half of the planes onto the lower half
-        planes = (planes + 1) // 2
-        shifts.append(planes * n)
-    for t in range(limit):
-        word ^= rows[(t & -t).bit_length() - 1]
-        x = word
-        for s in shifts:
-            x |= x >> s
-        w = (x & mask).bit_count()
-        counts[w] += 1
-        if w <= lb:
-            return t + 1
+    elif p == 2:
+        mask = (1 << n) - 1
+        for t, row in steps:
+            word ^= row
+            x = word
+            for s in shifts:
+                x |= x >> s
+            w = (x & mask).bit_count()
+            counts[w] += 1
+            if w <= lb:
+                return t + 1
+    else:
+        guard_bit, offset, guards = _guards(m * n, p)
+        # a lane plus 2^L - 1 reaches its guard exactly when it is nonzero
+        nonzero, low = guards - (guards >> guard_bit), guards & ((1 << n * width) - 1)
+        for t, row in steps:
+            y = word + row
+            word = y - (((y + offset) & guards) >> guard_bit) * p
+            x = (word + nonzero) & guards
+            for s in shifts:
+                x |= x >> s
+            w = (x & low).bit_count()
+            counts[w] += 1
+            if w <= lb:
+                return t + 1
     return limit
 
 
 def _plane_scan(code: CyclicCode, counts: list[int], cap: int, lb: int = -1) -> int:
-    """Projective walk over GF(2^m): per lead i, row i plus every combination
-    of the expansion of rows i+1.., so q^(k-1-i) words per lead; at most `cap`
+    """Projective walk: per lead i, row i plus every combination of the
+    expansion of rows i+1.., so q^(k-1-i) words per lead; at most `cap`
     words, stopping after the first weight <= lb. Returns the words walked."""
     rows, m, walked = _plane_rows(code), code.field.m, 0
-    for i, lead in enumerate(rows):
+    for i in range(code.k):
         if walked >= cap or any(counts[1:lb + 1]):
             break
-        later = [r for row in rows[i + 1:] for r in row]
-        walked += _plane_walk(lead[0], later, code.n, m, counts, cap - walked, lb)
+        walked += _plane_walk(rows[i * m], rows[(i + 1) * m:], code.n, code.field, counts,
+                              cap - walked, lb)
     return walked
-
-
-# ---------------------------------------------------------------------------
-# Odd characteristic: words as coordinate lists
-# ---------------------------------------------------------------------------
-
-def _walk(field: galois.Field, rows: Sequence[Sequence[int]],
-          start: Sequence[int]) -> Iterator[list[int]]:
-    """Yield `start` plus each GF(q) combination of `rows`, digits counted base q
-    with the last row fastest; the yielded list is one word updated in place."""
-    add, mul, sub = field.add_i, field.mul_i, field.sub_i
-    q, last = field.q, len(rows) - 1
-    # moves[i][d]: the (position, change) pairs taking digit i from d to d + 1 mod q
-    moves: list[list] = [[None] * q for _ in rows]
-    word, digits = list(start), [0] * len(rows)
-    yield word
-    pos = last
-    while pos >= 0:
-        d = digits[pos]
-        move = moves[pos][d]
-        if move is None:
-            c = sub((d + 1) % q, d)
-            move = moves[pos][d] = [(j, mul(c, x)) for j, x in enumerate(rows[pos]) if x]
-        for j, x in move:
-            word[j] = add(word[j], x)
-        if d == q - 1:
-            digits[pos] = 0
-            pos -= 1
-        else:
-            digits[pos] = d + 1
-            yield word
-            pos = last
-
-
-def _projective_walk(field: galois.Field, rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
-    """Yield every projective-class representative (leading digit 1) in order:
-    per lead, one odometer over the later rows."""
-    for lead in range(len(rows)):
-        yield from _walk(field, rows[lead + 1:], rows[lead])
-
-
-def _scan_qary(field: galois.Field, rows: Sequence[Sequence[int]], cap: int,
-               lb: int) -> tuple[int, int]:
-    """Projective walk over the first `cap` representatives."""
-    n = len(rows[0])
-    best = _INF
-    for t, word in enumerate(islice(_projective_walk(field, rows), cap), 1):
-        w = n - word.count(0)
-        if w < best:
-            best = w
-            if best <= lb:
-                return best, t
-    return best, cap
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +243,8 @@ def _scan_qary(field: galois.Field, rows: Sequence[Sequence[int]], cap: int,
 _MIN_CACHE: dict[tuple[CyclicCode, bool], tuple[int, int, frozenset[CyclicCode]]] = {}
 #: code -> (weight distribution, the code walked for it)
 _DIST_CACHE: dict[CyclicCode, tuple[Distribution, CyclicCode]] = {}
-#: (n, q, coset representative) -> one word per orbit of the minimal ideal, as
-#: packed planes over GF(2^m) and coordinate tuples otherwise
-_ORBIT_CACHE: dict[tuple[int, int, int], tuple] = {}
+#: (n, q, coset representative) -> one packed word per orbit of the minimal ideal
+_ORBIT_CACHE: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
 def _messages(q: int, k: int) -> int:
@@ -259,12 +277,9 @@ def _min(code: CyclicCode, early_stop: bool) -> tuple[int, int, frozenset[Cyclic
         lb = code.designed_distance_bound
         total = _messages(code.q, code.k)
         cap = _messages(code.q, min(code.k, code.n - code.k)) if early_stop else 0
-        if code.q % 2 == 0:
-            counts = [0] * (code.n + 1)
-            scanned = _plane_scan(code, counts, cap, lb)
-            best = next((w for w, c in enumerate(counts) if c), _INF)
-        else:
-            best, scanned = _scan_qary(code.field, generator_matrix(code).rows, cap, lb)
+        counts = [0] * (code.n + 1)
+        scanned = _plane_scan(code, counts, cap, lb)
+        best = next((w for w, c in enumerate(counts) if c), _INF)
         walked: frozenset[CyclicCode] = frozenset()
         if best > lb and scanned < total:
             dist, walked_code = _distribution(code)
@@ -371,21 +386,20 @@ def _lead(code: CyclicCode) -> CyclotomicCoset:
                key=lambda c: (_orbit_size(n, q, c.representative), -c.representative))
 
 
-def _orbit_representatives(n: int, q: int, coset: CyclotomicCoset) -> tuple:
-    """One word of each orbit of the shifts and nonzero scalars on M_s minus 0:
-    packed planes over GF(2^m), coordinate tuples otherwise.
+def _orbit_representatives(n: int, q: int, coset: CyclotomicCoset) -> tuple[int, ...]:
+    """One packed word of each orbit of the shifts and nonzero scalars on M_s
+    minus 0.
 
-    Each unmarked word of M_s opens an orbit, closed under one rotation and
-    one primitive scalar (over GF(2^m): the rotation cycles of its scalar
-    multiples); words are marked by their first d coordinates, an
-    information set of any [n, d] cyclic code. An orbit of other than o_s
-    words raises InternalConsistencyError.
+    Each unmarked word of M_s opens an orbit: the rotation cycles of its
+    multiples by the powers of alpha. Words are marked by the digits of
+    their first d coordinates, an information set of any [n, d] cyclic
+    code, in a table of q^d entries. An orbit of other than o_s words raises
+    InternalConsistencyError.
     """
     key = (n, q, coset.representative)
     if key not in _ORBIT_CACHE:
         ideal = from_defining_set(n, q, set(range(n)).difference(coset.members))
-        build = _plane_orbits if q % 2 == 0 else _tuple_orbits
-        _ORBIT_CACHE[key] = build(ideal, coset, _orbit_size(n, q, coset.representative))
+        _ORBIT_CACHE[key] = _plane_orbits(ideal, coset, _orbit_size(n, q, coset.representative))
     return _ORBIT_CACHE[key]
 
 
@@ -396,35 +410,46 @@ def _orbit_closed(count: int, size: int, coset: CyclotomicCoset) -> None:
 
 
 def _plane_orbits(ideal: CyclicCode, coset: CyclotomicCoset, size: int) -> tuple[int, ...]:
-    n, m, d = ideal.n, ideal.field.m, ideal.k
-    full = (1 << (m * n)) - 1
-    wrap = sum(1 << (c * n) for c in range(m))  # coordinate 0 of each plane
-    keep, last = full ^ wrap, n - 1
-    # alpha * x: plane c moves to c + 1 and the top plane folds back through
-    # x^m = the lower terms of the modulus
-    top = (m - 1) * n
-    spread = sum(1 << (c * n) for c in range(m) if ideal.field.modulus[c])
-    # the first d coordinates of every plane, gathered into m*d bits
-    gather = [(c * (n - d), ((1 << d) - 1) << (c * d)) for c in range(m)]
+    n, p, m, d = ideal.n, ideal.field.p, ideal.field.m, ideal.k
+    width = _lane_bits(p)
+    plane = n * width
+    add = _adder(n, p, m)
+    full = (1 << m * plane) - 1
+    wrap = _lanes(m, plane, (1 << width) - 1)  # coordinate 0 of each plane
+    keep, last = full ^ wrap, plane - width
+    # alpha * y: plane c moves to c + 1 and the top plane folds back through
+    # x^m = -(the lower terms of the modulus), one addition per unit
+    top = (m - 1) * plane
+    units = [c * plane for c, coeff in enumerate(ideal.field.modulus[:m])
+             for _ in range(-coeff % p)]
+    # the first d lanes of every plane, gathered into m*d lanes, then paired
+    # up into one base-p number: a 2w-bit lane holds lo + p^(w/W) * hi
+    first = (1 << d * width) - 1
+    gather = [(c * (plane - d * width), first << c * d * width) for c in range(m)]
+    radix, lanes, bits = [], m * d, width
+    while p > 2 and lanes > 1:
+        radix.append((bits, _lanes((lanes + 1) // 2, 2 * bits, (1 << bits) - 1),
+                      p ** (bits // width)))
+        lanes, bits = (lanes + 1) // 2, 2 * bits
 
-    def gathered(x: int) -> int:
+    def index(x: int) -> int:
         i = 0
         for shift, mask in gather:
             i |= (x >> shift) & mask
+        for bits, mask, scale in radix:
+            i = (i & mask) + ((i >> bits) & mask) * scale
         return i
 
-    # over GF(2) the index is the low d bits, taken without a Python-level call
-    index = ((1 << d) - 1).__and__ if m == 1 else gathered
-    seen = bytearray(1 << (m * d))
+    if m == 1 and not radix:  # GF(2): the low d bits, taken without a Python-level call
+        index = first.__and__
+    seen = bytearray(ideal.q**d)
     seen[0] = 1  # the zero word
     reps = []
-    rows = [r for row in _plane_rows(ideal) for r in row]
     word = 0
-    for t in range(1, 1 << len(rows)):
-        word ^= rows[(t & -t).bit_length() - 1]
+    for row in _steps(_plane_rows(ideal), p):
+        word = add(word, row)
         if seen[index(word)]:
             continue
-        # the orbit is the rotation cycles of the multiples alpha^a * word
         count, y = 0, word
         for _ in range(ideal.q - 1):
             if not seen[index(y)]:
@@ -432,34 +457,14 @@ def _plane_orbits(ideal: CyclicCode, coset: CyclotomicCoset, size: int) -> tuple
                 while True:
                     seen[index(x)] = 1
                     count += 1
-                    x = ((x << 1) & keep) | ((x >> last) & wrap)  # one cyclic shift
+                    x = ((x << width) & keep) | ((x >> last) & wrap)  # one cyclic shift
                     if x == y:
                         break
-            y = ((y << n) & full) ^ (y >> top) * spread
+            z, y = y >> top, (y << plane) & full
+            for shift in units:
+                y = add(y, z << shift)
         reps.append(word)
         _orbit_closed(count, size, coset)
-    return tuple(reps)
-
-
-def _tuple_orbits(ideal: CyclicCode, coset: CyclotomicCoset,
-                  size: int) -> tuple[tuple[int, ...], ...]:
-    n, q, field = ideal.n, ideal.q, ideal.field
-    powers = [q**i for i in range(ideal.k)]
-    scale = [field.mul_i(field.alpha.value, x) for x in range(q)].__getitem__
-    seen, reps = bytearray(q**ideal.k), []
-    seen[0] = 1  # the zero word
-    for word in map(tuple, _walk(field, generator_matrix(ideal).rows, [0] * n)):
-        stack, count = [word], 0
-        while stack:
-            x = stack.pop()
-            i = sum(map(operator.mul, x, powers))
-            if not seen[i]:
-                seen[i] = 1
-                count += 1
-                stack += (x[-1:] + x[:-1], tuple(map(scale, x)))
-        if count:
-            reps.append(word)
-            _orbit_closed(count, size, coset)
     return tuple(reps)
 
 
@@ -468,15 +473,9 @@ def _distribution_split(code: CyclicCode, lead: CyclotomicCoset) -> Distribution
     n, q = code.n, code.q
     rest = from_defining_set(n, q, code.T.members.union(lead.members))
     fibers = [0] * (n + 1)
-    if q % 2 == 0:
-        rows = [r for row in _plane_rows(rest) for r in row]
-        for a in _orbit_representatives(n, q, lead):
-            _plane_walk(a, rows, n, code.field.m, fibers, _INF)
-    else:
-        rows = generator_matrix(rest).rows
-        for a in _orbit_representatives(n, q, lead):
-            for word in _walk(code.field, rows, a):
-                fibers[n - word.count(0)] += 1
+    rows = _plane_rows(rest)
+    for a in _orbit_representatives(n, q, lead):
+        _plane_walk(a, rows, n, code.field, fibers, _INF)
     counts = [_orbit_size(n, q, lead.representative) * c for c in fibers]
     for w, c in _distribution(rest)[0]:
         counts[w] += c
@@ -493,11 +492,7 @@ def _distribution_direct(code: CyclicCode) -> Distribution:
     if reps * q ** (code.k - d) + q**d < _messages(q, code.k):
         return _distribution_split(code, lead)
     counts = [0] * (code.n + 1)
-    if q % 2 == 0:
-        _plane_scan(code, counts, _INF)
-    else:
-        for word in _projective_walk(code.field, generator_matrix(code).rows):
-            counts[code.n - word.count(0)] += 1
+    _plane_scan(code, counts, _INF)
     counts = [(q - 1) * c for c in counts]
     counts[0] = 1
     return tuple((w, c) for w, c in enumerate(counts) if c)

@@ -87,18 +87,49 @@ def span_q(rows: Sequence[Sequence[int]], n: int, field) -> frozenset[tuple[int,
     return frozenset(words)
 
 
-def xor_combinations(start: int, rows: Sequence[int]) -> list[int]:
-    """`start` XOR each of the 2^len(rows) subsets of rows, repeats kept."""
-    words = [start]
-    for row in rows:
-        words += [w ^ row for w in words]
+def unpack_planes(packed: int, n: int, field, width: int) -> tuple[int, ...]:
+    """The coordinates of a GF(p^m) word stored as m planes of n lanes of
+    `width` bits in one int, lane j of plane c holding digit c of coordinate
+    j; a lane holding p or more is rejected."""
+    lane = (1 << width) - 1
+    coords = []
+    for j in range(n):
+        value = 0
+        for c in reversed(range(field.m)):
+            digit = packed >> ((c * n + j) * width) & lane
+            if digit >= field.p:
+                raise ValueError(f"lane {j} of plane {c} holds {digit} >= p = {field.p}")
+            value = value * field.p + digit
+        coords.append(value)
+    return tuple(coords)
+
+
+def combinations(start: Sequence[int], rows: Sequence[Sequence[int]],
+                 field) -> list[tuple[int, ...]]:
+    """`start` plus each of the p^len(rows) GF(p) combinations of rows (p the
+    characteristic), repeats kept."""
+    words = []
+    for digits in itertools.product(range(field.p), repeat=len(rows)):
+        word = list(start)
+        for a, row in zip(digits, rows):
+            for j, x in enumerate(row):
+                word[j] = field.add_i(word[j], field.mul_i(a, x))
+        words.append(tuple(word))
     return words
 
 
-def unpack_planes(packed: int, n: int, m: int) -> tuple[int, ...]:
-    """The coordinates of a GF(2^m) word stored as m n-bit planes in one int,
-    bit c*n + j holding bit c of coordinate j."""
-    return tuple(sum((packed >> (c * n + j) & 1) << c for c in range(m)) for j in range(n))
+def projective_classes(rows: Sequence[Sequence[int]], field) -> list[tuple[int, ...]]:
+    """One word per projective class of the span of rows: per lead row, the
+    lead row plus each GF(q) combination of the later rows."""
+    words = []
+    for lead in range(len(rows)):
+        for msg in itertools.product(range(field.q), repeat=len(rows) - lead - 1):
+            word = list(rows[lead])
+            for a, row in zip(msg, rows[lead + 1:]):
+                for j, x in enumerate(row):
+                    word[j] = field.add_i(word[j], field.mul_i(a, x))
+            words.append(tuple(word))
+    return words
 
 
 def weight_q(word: Sequence[int]) -> int:

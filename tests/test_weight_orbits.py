@@ -21,7 +21,7 @@ from asymqec.polyring import cyclotomic_cosets
 from asymqec.search import all_cyclic_codes
 from asymqec.weights import weight_distribution
 
-LENGTHS = [(9, 2), (15, 2), (21, 2), (8, 3), (13, 3), (9, 4), (7, 8)]
+LENGTHS = [(9, 2), (15, 2), (21, 2), (8, 3), (13, 3), (9, 4), (6, 5), (7, 8), (10, 9)]
 
 
 def fresh():
@@ -50,11 +50,11 @@ def ideal_words(n, q, coset):
 
 
 def representatives(n, q, coset):
-    """The orbit representatives of M_s as coordinate tuples (characteristic 2
-    builds them as packed planes)."""
+    """The orbit representatives of M_s, built as packed planes, as coordinate tuples."""
     field = make_field(*prime_power(q))
+    width = asymqec.weights._lane_bits(field.p)
     reps = asymqec.weights._orbit_representatives(n, q, coset)
-    return [oracle.unpack_planes(a, n, field.m) for a in reps] if field.p == 2 else reps
+    return [oracle.unpack_planes(a, n, field, width) for a in reps]
 
 
 def orbit(word, field):
@@ -162,7 +162,8 @@ def test_orbit_cache_follows_a_modulus_override():
         for (n, q, s), reps in asymqec.weights._ORBIT_CACHE.items():
             # every coset mod 7 over GF(8) is a single residue
             ideal = from_defining_set(n, q, set(range(n)) - {s})
-            assert all(ideal.is_codeword(oracle.unpack_planes(a, n, 3)) for a in reps)
+            assert all(ideal.is_codeword(oracle.unpack_planes(a, n, ideal.field, 1))
+                       for a in reps)
     finally:
         clear_modulus_overrides()
         fresh()

@@ -22,6 +22,8 @@ from asymqec.cyclic import (
     zero_code,
 )
 from asymqec.errors import BudgetExceeded, InternalConsistencyError, NotNested
+from asymqec.galois import make_field
+from asymqec.polyring import coset_of
 from asymqec.search import all_cyclic_codes
 from asymqec.weights import (
     macwilliams_transform,
@@ -341,14 +343,15 @@ def test_qary_kernels_against_brute_force_span(n, q):
             assert report.enumerated == sum(messages(c) for c in walked)
 
 
-@pytest.mark.parametrize("n,q", [(9, 4), (7, 8), (5, 16)])
+@pytest.mark.parametrize("n,q", [(8, 3), (13, 3), (9, 4), (6, 5), (8, 7), (7, 8), (10, 9),
+                                 (5, 16)])
 def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
     real_walk = asymqec.weights._plane_walk
     calls = []
 
-    def recording_walk(start, rows, length, m, counts, cap, lb=-1):
+    def recording_walk(start, rows, length, field, counts, cap, lb=-1):
         before = list(counts)
-        walked = real_walk(start, rows, length, m, counts, cap, lb)
+        walked = real_walk(start, rows, length, field, counts, cap, lb)
         calls.append((start, list(rows), walked, [a - b for a, b in zip(counts, before)]))
         return walked
 
@@ -357,19 +360,24 @@ def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
         if code.k == 0 or q**code.k > 4**6:
             continue
         field, rows = code.field, generator_matrix(code).rows
+        width = asymqec.weights._lane_bits(field.p)
+
+        def unpack(word):
+            return oracle.unpack_planes(word, n, field, width)
+
         # the scan visits each projective class once: every recorded walk is
-        # its start plus every combination of its rows, with the weights it counted
+        # its start plus every GF(p) combination of its rows, with the weights
+        # it counted
         calls.clear()
         asymqec.weights._plane_scan(code, [0] * (n + 1), asymqec.weights._INF)
         visited = Counter()
         for start, walk_rows, walked, added in calls:
-            words = [oracle.unpack_planes(w, n, field.m)
-                     for w in oracle.xor_combinations(start, walk_rows)]
+            words = oracle.combinations(unpack(start), [unpack(r) for r in walk_rows], field)
             assert walked == len(words)
             histogram = Counter(oracle.weight_q(w) for w in words)
             assert added == [histogram[w] for w in range(n + 1)]
             visited.update(words)
-        assert visited == Counter(map(tuple, asymqec.weights._projective_walk(field, rows)))
+        assert visited == Counter(oracle.projective_classes(rows, field))
         words = oracle.span_q(rows, n, field)
         expected = tuple(sorted(Counter(oracle.weight_q(w) for w in words).items()))
         for early in (True, False):
@@ -378,6 +386,41 @@ def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
         assert weight_distribution(code) == expected
         lead = asymqec.weights._lead(code)
         assert asymqec.weights._distribution_split(code, lead) == expected
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("m", [1, 2])
+def test_lane_addition_at_its_boundary(p, m):
+    # every pair of elements in the middle lane of a 3-lane word whose other
+    # lanes hold the largest digit, p - 1, in every plane
+    field = make_field(p, m)
+    n, top, width = 3, field.q - 1, asymqec.weights._lane_bits(p)
+    add = asymqec.weights._adder(n, p, m)
+    corner = field.add_i(top, top)
+    for a in range(field.q):
+        x = asymqec.weights._pack(n, field, [top, a, top])
+        assert oracle.unpack_planes(x, n, field, width) == (top, a, top)
+        for b in range(field.q):
+            y = asymqec.weights._pack(n, field, [top, b, top])
+            assert oracle.unpack_planes(add(x, y), n, field, width) == (
+                corner, field.add_i(a, b), corner), (a, b)
+
+
+def test_split_of_a_large_odd_lead_ideal():
+    # [46,12]_3 with nonzeros {0} and the coset of 1: its lead ideal has
+    # d = 11, 3^11 words in 3,851 orbits of 46
+    code = from_defining_set(46, 3, set(range(46)) - {0} - set(coset_of(46, 3, 1).members))
+    lead = asymqec.weights._lead(code)
+    assert (code.k, lead.representative, len(lead.members)) == (12, 1, 11)
+    fresh()
+    assert len(asymqec.weights._orbit_representatives(46, 3, lead)) == 3851
+    counts = [0] * 47
+    asymqec.weights._plane_scan(code, counts, asymqec.weights._INF)
+    counts = [2 * c for c in counts]
+    counts[0] = 1
+    expected = tuple((w, c) for w, c in enumerate(counts) if c)
+    assert asymqec.weights._distribution_split(code, lead) == expected
+    fresh()
 
 
 @pytest.mark.parametrize("n,q", [(31, 2), (13, 3), (9, 4)])
