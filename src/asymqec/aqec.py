@@ -32,10 +32,10 @@ from .cyclic import (
     intersect,
     parity_check_matrix,
     product_is_zero,
+    roots_of,
 )
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
-from .galois import FieldElement, nth_root_field, subfield_embedding
-from .polyring import Polynomial, cyclotomic_cosets, render_poly
+from .polyring import Polynomial, render_poly
 from .weights import (
     DEFAULT_BUDGET,
     WeightReport,
@@ -161,10 +161,7 @@ def _nested_dual(c1: CyclicCode, c2: CyclicCode) -> CyclicCode:
 def _css(c1: CyclicCode, c2: CyclicCode, budget: int,
          purity: bool | None) -> tuple[int, WeightReport, WeightReport, bool | None]:
     """(k, dz, dx, pure) of the nested pair; the ordering rule lives here."""
-    if (c1.n, c1.q) != (c2.n, c2.q):
-        raise ValueError(
-            f"mismatched codes: (n={c1.n}, q={c1.q}) vs (n={c2.n}, q={c2.q})"
-        )
+    c1.T.check_matching(c2.T)
     c2perp = _nested_dual(c1, c2)
     n = c1.n
     k = c1.k + c2.k - n
@@ -270,7 +267,7 @@ def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
             f"f = {render_poly(f)} does not divide the parity polynomial {render_poly(h1)}"
         )
     n, q = c1.n, c1.q
-    ext_code = _roots_of(f, c1)
+    ext_code = roots_of(f, n)
     if len(ext_code) != f.degree:
         raise InternalConsistencyError(
             f"divisor of x^{n}-1 of degree {f.degree} has {len(ext_code)} roots"
@@ -283,22 +280,6 @@ def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
     c2 = c2perp.dual()
     return c2, _extension_params(c1, c2, int(f.degree), "deg f", "generator",
                                  "extend-poly", budget, purity)
-
-
-def _roots_of(f: Polynomial, code: CyclicCode) -> frozenset[int]:
-    """Exponents i with f(alpha^i) = 0, alpha the primitive n-th root.
-
-    f has coefficients in GF(q), so f(alpha^(qi)) = f(alpha^i)^q: one
-    evaluation per cyclotomic coset decides all of its members.
-    """
-    ext, alpha = nth_root_field(code.n, code.q)
-    embed, _ = subfield_embedding(code.field, ext)
-    out: set[int] = set()
-    for coset in cyclotomic_cosets(code.n, code.q):
-        point = FieldElement(ext, ext.pow_i(alpha.value, coset.representative))
-        if f.evaluate_embedded(point, embed) == 0:
-            out.update(coset.members)
-    return frozenset(out)
 
 
 def extend_by_defining_set(c1: CyclicCode, members: Sequence[int],

@@ -7,8 +7,9 @@ dual = complement of the negated set, containment = reverse inclusion) is
 exact and cheap, and the polynomial routes cross-check it.
 
 Also here: BCH / Reed-Solomon / Hamming constructors, generator and parity
-check matrices, encoding and membership tests, and the canonical textual
-code descriptors shared by the library and the CLI:
+check matrices, encoding, the one root test (`roots_of`, which membership
+tests use), and the canonical textual code descriptors shared by the
+library and the CLI:
 
     q=2 n=15 T={1,2,4,8}
     bch:n=15,q=2,delta=5      hamming:m=4,q=2      rs:q=8,delta=3
@@ -23,8 +24,8 @@ from typing import Iterable, Sequence
 
 from . import galois
 from .errors import InternalConsistencyError
-from .galois import Field, field_of_size, nth_root_field, subfield_embedding
-from .polyring import Polynomial, coset_of, factor_xn_minus_1
+from .galois import Field, check_length, field_of_size, nth_root_field, subfield_embedding
+from .polyring import Polynomial, coset_of, cyclotomic_cosets, factor_xn_minus_1
 
 
 @dataclass(frozen=True)
@@ -38,20 +39,18 @@ class DefiningSet:
     @classmethod
     def closed(cls, n: int, q: int, members: Iterable[int]) -> DefiningSet:
         """Validate coset closure; a non-closed input is rejected, not closed."""
-        if n < 1:
-            raise ValueError(f"length n={n} must be positive")
-        if gcd(n, q) != 1:
-            raise ValueError(f"gcd(n={n}, q={q}) != 1: unsupported repeated-root length")
+        check_length(n, q)
         mset = frozenset(int(s) % n for s in members)
-        for s in sorted(mset):
-            orbit = coset_of(n, q, s).members
-            missing = [t for t in orbit if t not in mset]
-            if missing:
-                raise ValueError(
-                    f"defining set is not closed under multiplication by {q} mod {n}: "
-                    f"residue {s} needs its whole coset {{{','.join(map(str, orbit))}}}, "
-                    f"missing {missing}"
-                )
+        if any(s * q % n not in mset for s in mset):  # not a union of cosets: name a gap
+            for s in sorted(mset):
+                orbit = coset_of(n, q, s).members
+                missing = [t for t in orbit if t not in mset]
+                if missing:
+                    raise ValueError(
+                        f"defining set is not closed under multiplication by {q} mod {n}: "
+                        f"residue {s} needs its whole coset {{{','.join(map(str, orbit))}}}, "
+                        f"missing {missing}"
+                    )
         return cls(n, q, mset)
 
     @property
@@ -66,14 +65,15 @@ class DefiningSet:
         return DefiningSet(self.n, self.q, frozenset((-s) % self.n for s in self.members))
 
     def union(self, other: DefiningSet) -> DefiningSet:
-        self._check(other)
+        self.check_matching(other)
         return DefiningSet(self.n, self.q, self.members | other.members)
 
     def intersection(self, other: DefiningSet) -> DefiningSet:
-        self._check(other)
+        self.check_matching(other)
         return DefiningSet(self.n, self.q, self.members & other.members)
 
-    def _check(self, other: DefiningSet) -> None:
+    def check_matching(self, other: DefiningSet) -> None:
+        """Raise ValueError unless both sets belong to codes of the same (n, q)."""
         if (self.n, self.q) != (other.n, other.q):
             raise ValueError(
                 f"mismatched codes: (n={self.n}, q={self.q}) vs (n={other.n}, q={other.q})"
@@ -81,6 +81,23 @@ class DefiningSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(s) for s in self.sorted_members) + "}"
+
+
+def roots_of(f: Polynomial, n: int) -> frozenset[int]:
+    """Exponents i with f(alpha^i) = 0, alpha the primitive n-th root of unity.
+
+    f has coefficients in GF(q), so f(alpha^(qi)) = f(alpha^i)^q: one
+    evaluation per cyclotomic coset decides all of its members.
+    """
+    q = f.field.q
+    ext, alpha = nth_root_field(n, q)
+    embed, _ = subfield_embedding(f.field, ext)
+    out: set[int] = set()
+    for coset in cyclotomic_cosets(n, q):
+        point = galois.FieldElement(ext, ext.pow_i(alpha.value, coset.representative))
+        if f.evaluate_embedded(point, embed) == 0:
+            out.update(coset.members)
+    return frozenset(out)
 
 
 def consecutive_run_bound(n: int, members: frozenset[int]) -> int:
@@ -197,7 +214,7 @@ class CyclicCode:
         All three criteria (defining-set inclusion, generator divisibility,
         parity divisibility) are evaluated and must agree.
         """
-        self.T._check(other.T)
+        self.T.check_matching(other.T)
         by_sets = self.T.members <= other.T.members
         by_generator = self.generator_polynomial.divides(other.generator_polynomial)
         by_parity = other.parity_polynomial.divides(self.parity_polynomial)
@@ -223,16 +240,8 @@ class CyclicCode:
         """True iff the vector's polynomial vanishes at alpha^i for all i in T."""
         if len(vector) != self.n:
             raise ValueError(f"expected length {self.n}, got {len(vector)}")
-        if not self.T.members:
-            return True
-        ext, alpha = nth_root_field(self.n, self.q)
-        embed, _ = subfield_embedding(self.field, ext)
-        poly = Polynomial.from_coeffs(self.field, vector)
-        for i in self.T.members:
-            point = galois.FieldElement(ext, ext.pow_i(alpha.value, i))
-            if poly.evaluate_embedded(point, embed) != 0:
-                return False
-        return True
+        word = Polynomial.from_coeffs(self.field, vector)
+        return not self.T.members or self.T.members <= roots_of(word, self.n)
 
     # -- identity -----------------------------------------------------------------
 
@@ -390,17 +399,16 @@ class CheckMatrix:
         return tuple(out)
 
 
+def _shifted_rows(coeffs: tuple[int, ...], count: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """`count` length-n rows; row j is `coeffs` shifted j places right."""
+    pad = n - len(coeffs)
+    return tuple((0,) * j + coeffs + (0,) * (pad - j) for j in range(count))
+
+
 def generator_matrix(code: CyclicCode) -> CheckMatrix:
     """k x n matrix whose rows are the cyclic shifts of g's coefficients."""
-    g = code.generator_polynomial
-    deg = len(code.T.members)
-    rows = []
-    for shift in range(code.k):
-        row = [0] * code.n
-        for j in range(deg + 1):
-            row[shift + j] = g.coefficient(j)
-        rows.append(tuple(row))
-    return CheckMatrix(code.field, code.n, tuple(rows), "generator")
+    rows = _shifted_rows(code.generator_polynomial.coeffs, code.k, code.n)
+    return CheckMatrix(code.field, code.n, rows, "generator")
 
 
 def parity_check_matrix(code: CyclicCode) -> CheckMatrix:
@@ -409,16 +417,8 @@ def parity_check_matrix(code: CyclicCode) -> CheckMatrix:
     Row j is the coefficient vector of x^j * x^k h(1/x); H annihilates
     exactly the codewords of the code.
     """
-    h = code.parity_polynomial
-    k = code.k
-    rev = [h.coefficient(k - i) for i in range(k + 1)]
-    rows = []
-    for shift in range(code.n - k):
-        row = [0] * code.n
-        for i, c in enumerate(rev):
-            row[shift + i] = c
-        rows.append(tuple(row))
-    return CheckMatrix(code.field, code.n, tuple(rows), "parity")
+    rev = code.parity_polynomial.coeffs[::-1]  # h has degree exactly k
+    return CheckMatrix(code.field, code.n, _shifted_rows(rev, code.n - code.k, code.n), "parity")
 
 
 def product_is_zero(a: CheckMatrix, b: CheckMatrix) -> bool:
@@ -482,24 +482,15 @@ def _parse_kv(body: str) -> dict[str, str]:
     return out
 
 
-def _parse_int_set(text: str) -> tuple[int, ...]:
-    m = _SET_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"expected a {{...}} residue set, got {text!r}")
-    inner = m.group(1).strip()
-    if not inner:
-        return ()
-    return tuple(int(tok) for tok in inner.split(","))
-
-
 def parse_residue_set(text: str) -> tuple[int, ...]:
     """Parse "{3,6,9,12}" (or a bare comma list) into a residue tuple."""
-    text = text.strip()
-    if text.startswith("{"):
-        return _parse_int_set(text)
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.split(","))
+    body = text.strip()
+    if body.startswith("{"):
+        m = _SET_RE.match(body)
+        if not m:
+            raise ValueError(f"expected a {{...}} residue set, got {body!r}")
+        body = m.group(1).strip()
+    return tuple(int(tok) for tok in body.split(",")) if body else ()
 
 
 def parse_code(text: str) -> CyclicCode:

@@ -55,17 +55,6 @@ def _invalidate_derived_caches() -> None:
         hook()
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -79,6 +68,10 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == (n,)
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -103,12 +96,19 @@ def multiplicative_order(a: int, n: int) -> int:
     a %= n
     if gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1, no multiplicative order")
-    order = 1
-    v = a % n
-    while v != 1:
+    order, v = 1, a
+    while v != 1 % n:  # 1 % n: in Z/1Z the identity is 0
         v = (v * a) % n
         order += 1
     return order
+
+
+def check_length(n: int, q: int) -> None:
+    """Reject lengths with no simple-root cyclic codes over GF(q)."""
+    if n < 1:
+        raise ValueError(f"length n={n} must be positive")
+    if gcd(n, q) != 1:
+        raise ValueError(f"gcd(n={n}, q={q}) != 1: unsupported repeated-root length")
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +260,31 @@ def load_modulus_table(path: str) -> int:
     """Load overrides from a table file; returns the number of entries read.
 
     Every line is validated before any takes effect, so a file with a bad
-    line raises and leaves the overrides and the derived caches as they were.
+    line raises ValueError naming `path:line` and leaves the overrides and
+    the derived caches as they were; an unreadable file raises ValueError too.
     """
     table: dict[tuple[int, int], tuple[int, ...]] = {}
     count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: expected 'p m c0 ... cm'")
-            p, m = int(parts[0]), int(parts[1])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeError) as exc:  # strerror is the OSError text without the path
+        raise ValueError(f"cannot read modulus table {path}: {getattr(exc, 'strerror', exc)}") from None
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) < 3:
+            raise ValueError(f"{path}:{lineno}: expected 'p m c0 ... cm'")
+        try:
+            p, m, *coeffs = map(int, parts)
             if not is_prime(p):
-                raise ValueError(f"{path}:{lineno}: p={p} is not prime")
-            coeffs = [int(tok) for tok in parts[2:]]
+                raise ValueError(f"p={p} is not prime")
             table[(p, m)] = _validated_modulus(p, m, coeffs)
-            count += 1
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        count += 1
     _overrides.update(table)
     _invalidate_derived_caches()
     return count
@@ -287,10 +294,10 @@ def _maybe_load_env_table() -> None:
     global _env_loaded
     if _env_loaded:
         return
-    _env_loaded = True
     path = os.environ.get(ENV_MODULUS_TABLE)
     if path:
-        load_modulus_table(path)
+        load_modulus_table(path)  # a failed load raises again on the next call
+    _env_loaded = True
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +595,9 @@ def nth_root_field(n: int, q: int) -> tuple[Field, FieldElement]:
     modulo n and alpha has multiplicative order exactly n. Rejects
     gcd(n, q) != 1 (repeated-root lengths are unsupported).
     """
-    if n < 1:
-        raise ValueError(f"length n={n} must be positive")
-    if gcd(n, q) != 1:
-        raise ValueError(f"gcd(n={n}, q={q}) != 1: unsupported repeated-root length")
+    check_length(n, q)
     p, s = prime_power(q)
-    m_ext = s * multiplicative_order(q, n) if n > 1 else s
+    m_ext = s * multiplicative_order(q, n)
     if p ** m_ext > MAX_FIELD_SIZE:
         raise ValueError(
             f"length n={n} over GF({q}) needs GF({p}^{m_ext}), beyond the supported bound"

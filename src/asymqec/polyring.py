@@ -1,24 +1,25 @@
 """Polynomials over GF(q), cyclotomic cosets, and the factorisation of x^n - 1.
 
 Everything a defining set rests on lives here: the coset partition of Z_n
-under multiplication by q, the one enumerator of coset unions (the defining
-sets, as residue bitmasks), the minimal polynomial of each coset (expanded
-in the splitting field and mapped back to GF(q)), and the resulting complete
-factorisation of x^n - 1. All values are immutable and all operations pure.
+under multiplication by q (built from the one orbit walker, `coset_of`), the
+one enumerator of coset unions (the defining sets, as residue bitmasks), the
+minimal polynomial of each coset (a product of Polynomials over the splitting
+field, mapped back to GF(q)), and the resulting complete factorisation of
+x^n - 1. All values are immutable and all operations pure.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from . import galois
 from .errors import InternalConsistencyError
-from .galois import Field, FieldElement, field_of_size, nth_root_field, subfield_embedding
+from .galois import (Field, FieldElement, check_length, field_of_size, nth_root_field,
+                     subfield_embedding)
 
 #: degree of the zero polynomial; chosen so deg(a*b) = deg a + deg b always holds
 NEG_INF = float("-inf")
@@ -90,7 +91,7 @@ class Polynomial:
     def _check(self, other: Polynomial) -> None:
         if not isinstance(other, Polynomial):
             raise TypeError(f"expected Polynomial, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:  # fields are interned
             raise ValueError(f"mixed fields: {self.field} vs {other.field}")
 
     # -- ring operations ------------------------------------------------------
@@ -118,7 +119,7 @@ class Polynomial:
     def __mul__(self, other: Polynomial) -> Polynomial:
         self._check(other)
         f = self.field
-        if self.is_zero or other.is_zero:
+        if not self.coeffs or not other.coeffs:
             return Polynomial.zero(f)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         if f.m == 1:  # integers mod p, reduced once at the end
@@ -356,29 +357,16 @@ class CyclotomicCoset:
         return "{" + ",".join(str(m) for m in self.members) + "}"
 
 
-def _check_length(n: int, q: int) -> None:
-    if n < 1:
-        raise ValueError(f"length n={n} must be positive")
-    if gcd(n, q) != 1:
-        raise ValueError(f"gcd(n={n}, q={q}) != 1: unsupported repeated-root length")
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_cosets(n: int, q: int) -> tuple[CyclotomicCoset, ...]:
     """Partition of Z_n into cyclotomic cosets, sorted by representative."""
-    _check_length(n, q)
-    seen = [False] * n
-    cosets = []
+    check_length(n, q)
+    cosets: list[CyclotomicCoset] = []
+    covered: set[int] = set()
     for s in range(n):
-        if seen[s]:
-            continue
-        orbit = []
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            orbit.append(t)
-            t = (t * q) % n
-        cosets.append(CyclotomicCoset(n, q, s, tuple(sorted(orbit))))
+        if s not in covered:
+            cosets.append(coset_of(n, q, s))
+            covered.update(cosets[-1].members)
     return tuple(cosets)
 
 
@@ -397,8 +385,8 @@ def mask_residues(mask: int) -> tuple[int, ...]:
 
 
 def coset_of(n: int, q: int, s: int) -> CyclotomicCoset:
-    """The coset containing residue s."""
-    _check_length(n, q)
+    """The coset containing residue s: its orbit under multiplication by q."""
+    check_length(n, q)
     s %= n
     orbit = set()
     t = s
@@ -413,29 +401,20 @@ def coset_of(n: int, q: int, s: int) -> CyclotomicCoset:
 def minimal_polynomial(n: int, q: int, coset: CyclotomicCoset) -> Polynomial:
     """The minimal polynomial over GF(q) of alpha^s for s in the coset.
 
-    Expands prod(x - alpha^i) in the splitting field; each coefficient must
-    land in the embedded copy of GF(q) and is mapped back, anything else is
-    an internal-consistency failure rather than a silent truncation.
+    Multiplies the (x - alpha^i) over the splitting field; each coefficient
+    must land in the embedded copy of GF(q) and is mapped back, anything else
+    is an internal-consistency failure rather than a silent truncation.
     """
-    _check_length(n, q)
     expected = coset_of(n, q, coset.representative)
     if coset.members != expected.members or coset.n != n or coset.q != q:
         raise ValueError(f"{coset} is not a cyclotomic coset mod {n} over GF({q})")
     ext, alpha = nth_root_field(n, q)
     base = field_of_size(q)
-    embed, lift = subfield_embedding(base, ext)
-    # product of (x - alpha^i) with extension-field integer coefficients
-    prod = [1]
-    for i in coset.members:
-        root = ext.pow_i(alpha.value, i)
-        nxt = [0] * (len(prod) + 1)
-        for d, c in enumerate(prod):
-            if c:
-                nxt[d + 1] = ext.add_i(nxt[d + 1], c)
-                nxt[d] = ext.sub_i(nxt[d], ext.mul_i(c, root))
-        prod = nxt
+    _, lift = subfield_embedding(base, ext)
+    factors = (Polynomial(ext, (ext.neg_i(ext.pow_i(alpha.value, i)), 1)) for i in coset.members)
+    prod = reduce(Polynomial.__mul__, factors)
     try:
-        coeffs = [lift[c] for c in prod]
+        coeffs = [lift[c] for c in prod.coeffs]
     except KeyError as exc:
         raise InternalConsistencyError(
             f"minimal polynomial coefficient {exc} of coset {coset} not in GF({q})"
@@ -450,7 +429,7 @@ def factor_xn_minus_1(n: int, q: int) -> tuple[tuple[CyclotomicCoset, Polynomial
     The product of the returned factors is verified against x^n - 1; a
     mismatch raises InternalConsistencyError.
     """
-    _check_length(n, q)
+    check_length(n, q)
     base = field_of_size(q)
     factors = tuple(
         (coset, minimal_polynomial(n, q, coset)) for coset in cyclotomic_cosets(n, q)

@@ -326,10 +326,7 @@ def min_weight_difference(outer: CyclicCode, inner: CyclicCode,
     convention. An inner zero code reduces to plain min_weight. Raises
     BudgetExceeded when q^k_outer exceeds the budget. `workers` is ignored.
     """
-    if (outer.n, outer.q) != (inner.n, inner.q):
-        raise ValueError(
-            f"mismatched codes: (n={outer.n}, q={outer.q}) vs (n={inner.n}, q={inner.q})"
-        )
+    outer.T.check_matching(inner.T)
     if not outer.contains(inner):
         raise NotNested(f"{inner.descriptor()} is not a subcode of {outer.descriptor()}")
     return min_weight_difference_unchecked(outer, inner, budget, early_stop=early_stop)

@@ -122,8 +122,45 @@ def test_criterion_3_table_rows_n127():
         "the 25/7-vs-27 conflict must be flagged"
 
 
+def _qary_calculus_mismatches(n: int, q: int) -> int:
+    """Criterion 4 over GF(q) for every code with q^k <= 4096: the calculus
+    against spans of generator rows. A dual or a sum is pinned by its size
+    (|C| |C-dual| = q^n, |C1 + C2| |C1 ^ C2| = |C1| |C2|) and, where it fits,
+    by its words: orthogonal to C, or containing C1 and C2."""
+    codes = [c for c in all_cyclic_codes(n, q) if q**c.k <= 4096]
+    field = codes[0].field
+    rows = {c: generator_matrix(c).rows for c in codes}
+    sets = {c: oracle.span_q(rows[c], n, field) for c in codes}
+
+    def dot(u, v):
+        return functools.reduce(field.add_i, map(field.mul_i, u, v), 0)
+
+    def sized(code, size):
+        return q**code.k == size and (size > 4096 or len(sets[code]) == size)
+
+    mismatches = 0
+    for c in codes:
+        d = c.dual()
+        if not (sized(d, q**n // len(sets[c])) and (
+                d not in sets or all(dot(u, v) == 0 for u in rows[c] for v in rows[d]))):
+            mismatches += 1
+    for c1, c2 in itertools.combinations_with_replacement(codes, 2):
+        meet = sets[c1] & sets[c2]
+        if sets[intersect(c1, c2)] != meet:
+            mismatches += 1
+        total = code_sum(c1, c2)
+        if not (sized(total, len(sets[c1]) * len(sets[c2]) // len(meet)) and (
+                total not in sets or sets[c1] | sets[c2] <= sets[total])):
+            mismatches += 1
+    for c1, c2 in itertools.product(codes, repeat=2):
+        if contains(c1, c2) != (sets[c2] <= sets[c1]):
+            mismatches += 1
+    return mismatches
+
+
 @criterion(4, "defining-set calculus matches brute-force codeword sets on every pair "
-               "at n=7 and n=15 (0 mismatches) in under 1 min")
+               "at n=7 and n=15 over GF(2) and at (8,3), (5,4), (9,4) (0 mismatches) "
+               "in under 1 min")
 def test_criterion_4_set_calculus_oracle_equivalence():
     start = time.monotonic()
     mismatches = 0
@@ -144,6 +181,8 @@ def test_criterion_4_set_calculus_oracle_equivalence():
         for c1, c2 in itertools.product(codes, repeat=2):
             if contains(c1, c2) != (sets[c2] <= sets[c1]):
                 mismatches += 1
+    for n, q in ((8, 3), (5, 4), (9, 4)):
+        mismatches += _qary_calculus_mismatches(n, q)
     elapsed = time.monotonic() - start
     assert mismatches == 0
     assert elapsed < 60.0, f"oracle equivalence took {elapsed:.1f}s"

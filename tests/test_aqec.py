@@ -20,9 +20,15 @@ from asymqec.aqec import (
     subsystem_euclidean,
     subsystem_to_stabilizer,
     trade_dimension,
-    _roots_of,
 )
-from asymqec.cyclic import CheckMatrix, CyclicCode, bch, from_defining_set, generator_matrix
+from asymqec.cyclic import (
+    CheckMatrix,
+    CyclicCode,
+    bch,
+    from_defining_set,
+    generator_matrix,
+    roots_of,
+)
 from asymqec.errors import NotNested
 from asymqec.galois import make_field, nth_root_field, prime_power, subfield_embedding
 from asymqec.polyring import (
@@ -181,7 +187,7 @@ def test_roots_of_matches_evaluation_at_every_residue(n, q):
             if acc == 0:
                 expected.add(i)
         assert expected == code.T.members
-        assert _roots_of(f, code) == expected
+        assert roots_of(f, n) == expected
 
 
 def test_extend_by_defining_set_example():

@@ -236,12 +236,22 @@ def test_modulus_override_via_environment(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "x^4 + x^3 + 1" in proc.stdout
+    missing = tmp_path / "missing.txt"
     bad = subprocess.run(
         [sys.executable, "-m", "asymqec.cli", "code", "q=2 n=15 T={1,2,4,8}"],
         capture_output=True, text=True,
-        env=dict(os.environ, ASYMQEC_MODULUS_TABLE=str(tmp_path / "missing.txt")),
+        env=dict(os.environ, ASYMQEC_MODULUS_TABLE=str(missing)),
     )
-    assert bad.returncode != 0
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr == f"error: cannot read modulus table {missing}: No such file or directory\n"
+    table.write_text("2 4 1 0 0 1 1\n2 x 1 0 1\n")
+    bad = subprocess.run(
+        [sys.executable, "-m", "asymqec.cli", "code", "q=2 n=15 T={1,2,4,8}"],
+        capture_output=True, text=True, env=env,
+    )
+    assert bad.returncode == 2
+    assert bad.stderr.startswith(f"error: {table}:2: invalid literal for int()")
 
 
 def test_derive_css_text(capsys):

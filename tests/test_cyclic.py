@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 import oracle
 from asymqec import cyclic
 from asymqec.cyclic import (
+    DefiningSet,
     bch,
     code_sum,
     consecutive_run_bound,
@@ -28,7 +30,15 @@ from asymqec.cyclic import (
     zero_code,
 )
 from asymqec.galois import make_field
-from asymqec.polyring import Polynomial, parse_poly, render_poly
+from asymqec.polyring import (
+    Polynomial,
+    coset_of,
+    coset_unions,
+    cyclotomic_cosets,
+    mask_residues,
+    parse_poly,
+    render_poly,
+)
 from asymqec.search import all_cyclic_codes
 
 F2 = make_field(2)
@@ -48,6 +58,21 @@ def test_non_closed_defining_set_rejected():
         from_defining_set(15, 2, {1, 2, 3})
     assert "not closed" in str(err.value)
     assert "coset" in str(err.value)
+
+
+@pytest.mark.parametrize("n,q", [(7, 2), (9, 2), (8, 3), (10, 3), (9, 4)])
+def test_closed_accepts_exactly_the_coset_unions(n, q):
+    cosets = cyclotomic_cosets(n, q)
+    unions = {frozenset(mask_residues(mask)) for mask in coset_unions(cosets)}
+    for mask in range(1 << n):
+        mset = frozenset(mask_residues(mask))
+        if mset in unions:
+            assert DefiningSet.closed(n, q, mset).members == mset
+            continue
+        # the error names the smallest residue whose coset is incomplete
+        s = min(t for t in mset if not set(coset_of(n, q, t).members) <= mset)
+        with pytest.raises(ValueError, match=f"residue {s} needs its whole coset"):
+            DefiningSet.closed(n, q, mset)
 
 
 def test_from_defining_set_accepts_a_generator():
@@ -230,6 +255,21 @@ def test_is_codeword_agrees_with_parity():
         for v in range(128):
             vec = tuple((v >> i) & 1 for i in range(7))
             assert code.is_codeword(vec) == all(s == 0 for s in H.syndrome(vec))
+
+
+@pytest.mark.parametrize("n,q", [(8, 3), (5, 4), (9, 4)])
+def test_is_codeword_agrees_with_parity_over_gf3_and_gf4(n, q):
+    rng = random.Random(n * 100 + q)
+    for code in all_cyclic_codes(n, q):
+        G, H = generator_matrix(code), parity_check_matrix(code)
+        vectors = list(G.rows) + [tuple(rng.randrange(q) for _ in range(n)) for _ in range(200)]
+        if code.k:  # and random codewords, so both answers are exercised
+            msgs = (Polynomial.from_coeffs(code.field, [rng.randrange(q) for _ in range(code.k)])
+                    for _ in range(20))
+            vectors += [code.encode(m) for m in msgs]
+        for vec in vectors:
+            assert code.is_codeword(vec) == all(s == 0 for s in H.syndrome(vec))
+        assert all(code.is_codeword(row) for row in G.rows)
 
 
 def test_containment_criteria_consistency_all_pairs_n15():

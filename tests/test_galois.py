@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
+from asymqec import galois
 from asymqec.galois import (
     clear_modulus_overrides,
     default_modulus,
@@ -159,6 +161,15 @@ def test_multiplicative_order():
         multiplicative_order(3, 6)
 
 
+def test_length_one_has_order_one_and_the_base_field():
+    assert multiplicative_order(2, 1) == 1
+    assert multiplicative_order(5, 1) == 1
+    for q in (2, 3, 4, 8, 9):
+        ext, alpha = nth_root_field(1, q)
+        assert ext == field_of_size(q)
+        assert alpha.value == 1
+
+
 @pytest.mark.parametrize("base_q,ext_pm", [(4, (2, 4)), (8, (2, 6)), (9, (3, 4)), (4, (2, 6))])
 def test_subfield_embedding_is_ring_homomorphism(base_q, ext_pm):
     base = field_of_size(base_q)
@@ -237,5 +248,39 @@ def test_modulus_table_file(tmp_path):
 
         assert load_modulus_table(str(table)) == 1
         assert make_field(2, 4).modulus == (1, 0, 0, 1, 1)
+    finally:
+        clear_modulus_overrides()
+
+
+def test_modulus_table_errors_name_the_path(tmp_path):
+    from asymqec.galois import load_modulus_table
+
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(ValueError, match=re.escape(f"cannot read modulus table {missing}: ")):
+        load_modulus_table(str(missing))
+    table = tmp_path / "moduli.txt"
+    table.write_bytes(b"\xff2 4 1 1 0 0 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"cannot read modulus table {table}: 'utf-8'")):
+        load_modulus_table(str(table))
+    table.write_text("# header\n2 x 1 0 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{table}:2: invalid literal")):
+        load_modulus_table(str(table))
+    table.write_text("2 4 1 1 1 1 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{table}:1: ") + ".*not primitive"):
+        load_modulus_table(str(table))
+    assert make_field(2, 4).modulus == (1, 1, 0, 0, 1)
+
+
+def test_failed_environment_table_raises_on_every_field(tmp_path, monkeypatch):
+    monkeypatch.setenv(galois.ENV_MODULUS_TABLE, str(tmp_path / "missing.txt"))
+    monkeypatch.setattr(galois, "_env_loaded", False)
+    for _ in range(2):  # no silent fallback to the default moduli after a failure
+        with pytest.raises(ValueError, match="cannot read modulus table"):
+            make_field(2, 4)
+    table = tmp_path / "missing.txt"
+    table.write_text("2 4 1 0 0 1 1\n")
+    try:
+        assert make_field(2, 4).modulus == (1, 0, 0, 1, 1)
+        assert galois._env_loaded
     finally:
         clear_modulus_overrides()

@@ -14,6 +14,7 @@ from asymqec.polyring import (
     NEG_INF,
     CyclotomicCoset,
     Polynomial,
+    coset_of,
     coset_unions,
     cyclotomic_cosets,
     factor_xn_minus_1,
@@ -178,6 +179,16 @@ def test_coset_partition_and_factorisation(n, q):
     for coset, f in factors:
         assert f.is_monic
         assert int(f.degree) == len(coset.members)
+
+
+@pytest.mark.parametrize("n,q", PARTITION_CASES)
+def test_coset_of_is_the_brute_force_orbit(n, q):
+    for s in range(n):
+        orbit = sorted({s * pow(q, j, n) % n for j in range(n)})
+        coset = coset_of(n, q, s)
+        assert coset.members == tuple(orbit)
+        assert coset.representative == orbit[0]
+        assert coset in cyclotomic_cosets(n, q)
 
 
 def test_minimal_polynomials_n15():
