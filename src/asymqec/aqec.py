@@ -28,11 +28,11 @@ from .cyclic import (
     CheckMatrix,
     CyclicCode,
     DefiningSet,
+    divisor_roots,
     from_defining_set,
     intersect,
     parity_check_matrix,
     product_is_zero,
-    roots_of,
 )
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
 from .polyring import Polynomial, render_poly
@@ -267,7 +267,7 @@ def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
             f"f = {render_poly(f)} does not divide the parity polynomial {render_poly(h1)}"
         )
     n, q = c1.n, c1.q
-    ext_code = roots_of(f, n)
+    ext_code = divisor_roots(f, n)
     if len(ext_code) != f.degree:
         raise InternalConsistencyError(
             f"divisor of x^{n}-1 of degree {f.degree} has {len(ext_code)} roots"

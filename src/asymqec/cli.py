@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from .aqec import (
@@ -268,7 +269,9 @@ def _add_common(sub, weights=True, exact=False):
                          help="fail (exit 3) instead of degrading to bound-only")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="asymqec",
         description="Build cyclic codes, derive asymmetric quantum and subsystem "
@@ -324,6 +327,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise ValueError(f"budget={args.budget} must be non-negative")
         return args.handler(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

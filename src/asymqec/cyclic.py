@@ -8,8 +8,8 @@ exact and cheap, and the polynomial routes cross-check it.
 
 Also here: BCH / Reed-Solomon / Hamming constructors, generator and parity
 check matrices, encoding, the one root test (`roots_of`, which membership
-tests use), and the canonical textual code descriptors shared by the
-library and the CLI:
+tests use; `divisor_roots` memoizes it for the divisors of x^n - 1), and
+the canonical textual code descriptors shared by the library and the CLI:
 
     q=2 n=15 T={1,2,4,8}
     bch:n=15,q=2,delta=5      hamming:m=4,q=2      rs:q=8,delta=3
@@ -100,6 +100,26 @@ def roots_of(f: Polynomial, n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+#: (f, n) -> roots_of(f, n), for the divisors f of x^n - 1 only
+_ROOTS_CACHE: dict[tuple[Polynomial, int], frozenset[int]] = {}
+
+
+def divisor_roots(f: Polynomial, n: int) -> frozenset[int]:
+    """roots_of(f, n), memoized when f divides x^n - 1.
+
+    A monic f with deg f roots among the n-th roots of unity is their
+    product, so only such root sets are kept: a word tested for membership
+    never enters the memo.
+    """
+    key = (f, n)
+    roots = _ROOTS_CACHE.get(key)
+    if roots is None:
+        roots = roots_of(f, n)
+        if f.is_monic and len(roots) == f.degree:
+            _ROOTS_CACHE[key] = roots
+    return roots
+
+
 def consecutive_run_bound(n: int, members: frozenset[int]) -> int:
     """Designed-distance bound: longest cyclic run of consecutive residues + 1."""
     mask = 0
@@ -127,12 +147,15 @@ def consecutive_run_bound_mask(n: int, mask: int) -> int:
 class CyclicCode:
     """A cyclic [n, k] code over GF(q) with defining set T."""
 
-    __slots__ = ("n", "q", "T", "_g", "_h", "_dual")
+    __slots__ = ("n", "q", "T", "k", "designed_distance_bound", "_g", "_h", "_dual")
 
     def __init__(self, T: DefiningSet):
         self.n = T.n
         self.q = T.q
         self.T = T
+        self.k = self.n - len(T.members)
+        #: lower bound on the minimum distance from consecutive roots
+        self.designed_distance_bound = consecutive_run_bound(self.n, T.members)
         self._g: Polynomial | None = None
         self._h: Polynomial | None = None
         self._dual: CyclicCode | None = None
@@ -140,21 +163,12 @@ class CyclicCode:
     # -- parameters -----------------------------------------------------------
 
     @property
-    def k(self) -> int:
-        return self.n - len(self.T.members)
-
-    @property
     def field(self) -> Field:
         return field_of_size(self.q)
 
-    @property
-    def designed_distance_bound(self) -> int:
-        """Lower bound on the minimum distance from consecutive roots."""
-        return consecutive_run_bound(self.n, self.T.members)
-
-    @property
-    def generator_polynomial(self) -> Polynomial:
-        """prod over i in T of (x - alpha^i), derived from the coset factors."""
+    def _polynomials(self) -> tuple[Polynomial, Polynomial]:
+        """(g, h): g the product over i in T of (x - alpha^i), from the coset
+        factors, and h = (x^n - 1) / g, from the division that checks g."""
         if self._g is None:
             g = Polynomial.one(self.field)
             for coset, factor in factor_xn_minus_1(self.n, self.q):
@@ -164,20 +178,22 @@ class CyclicCode:
                 raise InternalConsistencyError(
                     f"generator degree {g.degree} != |T| = {len(self.T.members)}"
                 )
-            self._g = g
-        return self._g
+            xn1 = Polynomial.monomial(g.field, self.n) - Polynomial.one(g.field)
+            h = xn1.exact_quotient(g)
+            if h is None:
+                raise InternalConsistencyError("generator polynomial does not divide x^n - 1")
+            self._g, self._h = g, h
+        return self._g, self._h
+
+    @property
+    def generator_polynomial(self) -> Polynomial:
+        """prod over i in T of (x - alpha^i)."""
+        return self._polynomials()[0]
 
     @property
     def parity_polynomial(self) -> Polynomial:
         """h = (x^n - 1) / g."""
-        if self._h is None:
-            field = self.field
-            xn1 = Polynomial.monomial(field, self.n) - Polynomial.one(field)
-            quot, rem = xn1.div_rem(self.generator_polynomial)
-            if not rem.is_zero:
-                raise InternalConsistencyError("generator polynomial does not divide x^n - 1")
-            self._h = quot
-        return self._h
+        return self._polynomials()[1]
 
     @property
     def dual_generator_polynomial(self) -> Polynomial:
@@ -313,7 +329,7 @@ def rs(q: int, delta: int, b: int = 1) -> CyclicCode:
     """Reed-Solomon code [q-1, q-delta, delta] over GF(q):
     T = {b, ..., b+delta-2}, singleton cosets since q = 1 mod n."""
     n = q - 1
-    if n < 1:
+    if n < 2:  # delta ranges over 2..n
         raise ValueError(f"q={q} too small for a Reed-Solomon code")
     if not 2 <= delta <= n:
         raise ValueError(f"designed distance delta={delta} out of range 2..{n}")
@@ -350,6 +366,7 @@ def contains(outer: CyclicCode, inner: CyclicCode) -> bool:
 
 def _clear_caches() -> None:
     _CODE_CACHE.clear()
+    _ROOTS_CACHE.clear()
 
 
 galois.register_invalidation_hook(_clear_caches)

@@ -5,7 +5,8 @@ under multiplication by q (built from the one orbit walker, `coset_of`), the
 one enumerator of coset unions (the defining sets, as residue bitmasks), the
 minimal polynomial of each coset (a product of Polynomials over the splitting
 field, mapped back to GF(q)), and the resulting complete factorisation of
-x^n - 1. All values are immutable and all operations pure.
+x^n - 1. All values are immutable and all operations pure; divisibility
+answers are memoized by value and dropped with the other derived caches.
 """
 
 from __future__ import annotations
@@ -197,6 +198,18 @@ class Polynomial:
             rem.pop()
         return Polynomial(f, tuple(quot)), Polynomial(f, tuple(rem))
 
+    def exact_quotient(self, divisor: Polynomial) -> Polynomial | None:
+        """self / divisor when the division is exact, else None. The answer
+        settles `divisor.divides(self)`, and an exact nonzero quotient
+        `quotient.divides(self)` too."""
+        quot, rem = self.div_rem(divisor)
+        exact = _DIVIDES[divisor, self] = rem.is_zero
+        if not exact:
+            return None
+        if not quot.is_zero:
+            _DIVIDES[quot, self] = True
+        return quot
+
     def __floordiv__(self, other: Polynomial) -> Polynomial:
         return self.div_rem(other)[0]
 
@@ -204,8 +217,16 @@ class Polynomial:
         return self.div_rem(other)[1]
 
     def divides(self, other: Polynomial) -> bool:
-        """True if self divides other exactly (self must be nonzero)."""
-        return other.div_rem(self)[1].is_zero
+        """True if self divides other exactly (self must be nonzero).
+
+        Memoized by the two polynomial values, keeping only the answer: a
+        family search asks each nesting question several times over.
+        """
+        key = (self, other)
+        hit = _DIVIDES.get(key)
+        if hit is None:
+            hit = _DIVIDES[key] = other.div_rem(self)[1].is_zero
+        return hit
 
     def monic(self) -> Polynomial:
         if self.is_zero:
@@ -265,6 +286,10 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.field!r}, {render_poly(self)!r})"
+
+
+#: (divisor, dividend) -> whether the division is exact
+_DIVIDES: dict[tuple[Polynomial, Polynomial], bool] = {}
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -446,6 +471,7 @@ def factor_xn_minus_1(n: int, q: int) -> tuple[tuple[CyclotomicCoset, Polynomial
 
 
 def _clear_caches() -> None:
+    _DIVIDES.clear()
     cyclotomic_cosets.cache_clear()
     minimal_polynomial.cache_clear()
     factor_xn_minus_1.cache_clear()

@@ -14,6 +14,7 @@ import pytest
 
 from asymqec import cli
 from asymqec.cyclic import parse_code
+from asymqec.galois import clear_modulus_overrides
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -112,6 +113,9 @@ def test_code_bound_only_fallback_and_exact_exit_3(capsys):
     code, _, err = run(["code", "bch:n=127,q=2,delta=15", "--exact"], capsys)
     assert code == 3
     assert "budget" in err
+    code, out, _ = run(["code", "bch:n=15,q=2,delta=3", "--budget", "0"], capsys)
+    assert code == 0
+    assert "d: >=3 (bound-only)" in out
 
 
 def test_derive_extend_routes_agree(capsys):
@@ -312,3 +316,57 @@ def test_derive_csv_exact_bytes(capsys):
     row = out.splitlines()[1]
     assert row.startswith("127,2,64,,15,bound-only,5,bound-only,,")  # no r, purity unknown
     assert row.endswith(",css")
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    derive = ["derive", "css", "--c1", "bch:n=15,q=2,delta=3", "--c2", "bch:n=15,q=2,delta=5"]
+    calls = [
+        ["code", "bch:n=15,q=2,delta=5"],
+        derive + ["--no-purity"],
+        derive,  # a flag given to the previous call must not carry over
+        ["--help"],
+        ["search", "--n", "7", "--q", "2", "--format", "json"],
+    ]
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        clear_modulus_overrides()
+        alone.append(run(argv, capsys))
+    assert alone[1][1] != alone[2][1]  # purity is reported only without --no-purity
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "asymqec":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    clear_modulus_overrides()
+    together = [run(argv, capsys) for argv in calls]
+    assert together == alone
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "bch:n=15,q=2,delta=3"],
+    ["derive", "css", "--c1", "bch:n=15,q=2,delta=3", "--c2", "bch:n=15,q=2,delta=5"],
+    ["table1", "--rows", "1"],
+    ["search", "--n", "7", "--q", "2"],
+], ids=lambda argv: argv[0])
+def test_negative_budget_is_rejected(argv, capsys):
+    code, out, err = run(argv + ["--budget", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
+def test_reed_solomon_needs_q_at_least_3(capsys):
+    code, out, err = run(["code", "rs:q=2,delta=2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "q=2 too small for a Reed-Solomon code" in err
+    code, out, _ = run(["code", "rs:q=3,delta=2"], capsys)
+    assert code == 0
+    assert out.startswith("[2,1]_3  q=3 n=2 T={1}")

@@ -181,6 +181,9 @@ def test_rs_parameters():
     assert rs(4, 3).k == 1
     with pytest.raises(ValueError):
         rs(8, 9)
+    assert rs(3, 2).k == 1
+    with pytest.raises(ValueError, match="q=2 too small"):
+        rs(2, 2)
 
 
 def test_hamming_constructor():

@@ -1,0 +1,123 @@
+"""Algebra facts computed once per job: divisibility answers, root sets of
+divisors of x^n - 1, and the per-code k and designed bound.
+
+The memos are keyed by polynomial values, never by code identity, and every
+check they feed is still made: a corrupted generator or parity polynomial
+must still trip the containment cross-check after the pair was cached.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+import asymqec.cyclic
+import asymqec.polyring
+from asymqec.aqec import extend_by_polynomial
+from asymqec.cyclic import CyclicCode, bch, divisor_roots, full_space, roots_of
+from asymqec.errors import InternalConsistencyError
+from asymqec.galois import clear_modulus_overrides, make_field, set_modulus_override
+from asymqec.polyring import Polynomial, parse_poly
+from asymqec.search import search
+
+
+@pytest.fixture(autouse=True)
+def cold():
+    clear_modulus_overrides()
+    yield
+    clear_modulus_overrides()
+
+
+def memo_sizes() -> tuple[int, int]:
+    return len(asymqec.polyring._DIVIDES), len(asymqec.cyclic._ROOTS_CACHE)
+
+
+def test_clearing_the_modulus_table_empties_both_memos_and_overrides_move_root_sets():
+    f2 = make_field(2, 1)
+    f = parse_poly("x^3 + x + 1", f2)
+    default = make_field(2, 3).modulus
+    other = (1, 0, 1, 1) if default == (1, 1, 0, 1) else (1, 1, 0, 1)
+    extend_by_polynomial(full_space(7, 2), f, purity=False)  # one divisibility check, one root set
+    before = divisor_roots(f, 7)
+    assert all(memo_sizes())
+    try:
+        set_modulus_override(2, 3, other)
+        assert memo_sizes() == (0, 0)
+        after = divisor_roots(f, 7)
+        # alpha is now a root of the reciprocal modulus: f vanishes at its inverses
+        assert after == frozenset((-s) % 7 for s in before) != before
+        assert after == roots_of(f, 7)
+        assert asymqec.cyclic._ROOTS_CACHE[f, 7] == after
+    finally:
+        clear_modulus_overrides()
+    assert memo_sizes() == (0, 0)
+    assert divisor_roots(f, 7) == before
+
+
+@pytest.mark.parametrize("code_name,slot", [("outer", "_g"), ("inner", "_h")])
+def test_contains_rechecks_every_criterion_after_a_cached_answer(code_name, slot):
+    codes = {"outer": bch(15, 2, 3), "inner": bch(15, 2, 5)}
+    assert codes["outer"].contains(codes["inner"])
+    field = codes["outer"].field
+    # x^15 - 1 divides neither g(inner) nor h(outer): one criterion flips
+    setattr(codes[code_name], slot, Polynomial.monomial(field, 15) - Polynomial.one(field))
+    with pytest.raises(InternalConsistencyError, match="criteria disagree"):
+        codes["outer"].contains(codes["inner"])
+
+
+def test_a_family_search_divides_each_pair_and_roots_each_divisor_once(monkeypatch):
+    divisions, root_sets = Counter(), Counter()
+    div_rem, roots = Polynomial.div_rem, asymqec.cyclic.roots_of
+
+    def counted_div_rem(self, divisor):
+        divisions[divisor, self] += 1
+        return div_rem(self, divisor)
+
+    def counted_roots(f, n):
+        root_sets[f, n] += 1
+        return roots(f, n)
+
+    monkeypatch.setattr(Polynomial, "div_rem", counted_div_rem)
+    monkeypatch.setattr(asymqec.cyclic, "roots_of", counted_roots)
+    results = search(21, 2, "extend-poly")
+    assert results
+    assert divisions and max(divisions.values()) == 1
+    assert root_sets and max(root_sets.values()) == 1
+
+
+def test_k_and_designed_bound_are_computed_once_per_code(monkeypatch):
+    bounds = Counter()
+    run_bound = asymqec.cyclic.consecutive_run_bound
+
+    def counted(n, members):
+        bounds[n, members] += 1
+        return run_bound(n, members)
+
+    monkeypatch.setattr(asymqec.cyclic, "consecutive_run_bound", counted)
+    search(15, 2, "css")
+    interned = asymqec.cyclic._CODE_CACHE
+    assert sum(bounds.values()) == len(bounds) == len(interned)
+    assert {"k", "designed_distance_bound"} <= set(CyclicCode.__slots__)
+    for code in interned.values():
+        assert code.k == code.n - len(code.T.members)
+        assert code.designed_distance_bound == run_bound(code.n, code.T.members)
+
+
+def test_membership_tests_leave_the_root_memo_alone():
+    code = bch(15, 2, 5)
+    extend_by_polynomial(code, code.parity_polynomial, purity=False)
+    size = len(asymqec.cyclic._ROOTS_CACHE)
+    assert size
+    rng = random.Random(15)
+    words = [[rng.randrange(2) for _ in range(15)] for _ in range(200)]
+    verdicts = [code.is_codeword(w) for w in words]
+    assert len(asymqec.cyclic._ROOTS_CACHE) == size
+    assert not all(verdicts)
+    # asked directly, only divisors of x^15 - 1 enter the memo
+    for w in words:
+        divisor_roots(Polynomial.from_coeffs(code.field, w), 15)
+    xn1 = Polynomial.monomial(code.field, 15) - Polynomial.one(code.field)
+    for (f, n), roots in asymqec.cyclic._ROOTS_CACHE.items():
+        assert f.is_monic and f.divides(xn1) and len(roots) == f.degree
