@@ -244,7 +244,8 @@ def _extension_params(c1: CyclicCode, c2: CyclicCode, b: int, size: str, kind: s
         f"2k+b-n = {2 * c1.k + b - n} disagree with the computed logical "
         f"dimension {b} = b; reporting the computed value"
     )
-    return replace(params, route=route, notes=params.notes + (note,) + extra_notes)
+    return AqecParams(params.n, params.q, params.k, params.dz, params.dx, params.pure, c1, c2,
+                      route, params.notes + (note,) + extra_notes)
 
 
 def extend_by_polynomial(c1: CyclicCode, f: Polynomial,

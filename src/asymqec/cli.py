@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .aqec import (
@@ -44,9 +45,49 @@ EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
 
 
+#: JSON text of each leaf type a payload holds, by exact type
+_JSON_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _dumps_indented(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, for str-keyed payloads.
+
+    With an indent the stdlib falls back to its pure-Python encoder; this
+    walk makes the same text with the C string escaper. Other leaves
+    (floats, subclasses of str and int) go through json.dumps itself.
+    `pad` is the indent of the line `value` starts on.
+    """
+    leaf = _JSON_LEAF.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            leaf = _JSON_LEAF.get(type(item))
+            text = leaf(item) if leaf is not None else _dumps_indented(item, inner)
+            parts.append(encode_basestring_ascii(key) + ": " + text)
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [_dumps_indented(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def _emit_json(payload) -> None:
     # one write: json.dump with an indent writes every token separately
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_dumps_indented(payload) + "\n")
 
 
 def _emit_csv(rows: list[dict], fieldnames: list[str]) -> None:
@@ -211,10 +252,22 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
+def _parse_rows(text: str) -> list[int]:
+    """The row numbers of a --rows comma list; empty tokens are skipped."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise ValueError(f"--rows {text!r} names no row")
+    rows = []
+    for tok in tokens:
+        try:
+            rows.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--rows: {tok!r} is not a row number") from None
+    return rows
+
+
 def _cmd_table1(args) -> int:
-    indices = None
-    if args.rows:
-        indices = [int(tok) for tok in args.rows.split(",") if tok.strip()]
+    indices = _parse_rows(args.rows) if args.rows else None
     audits = audit_rows(indices, args.budget)
     if args.format == "json":
         _emit_json([a.as_dict() for a in audits])

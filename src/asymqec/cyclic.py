@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -53,7 +54,7 @@ class DefiningSet:
                     )
         return cls(n, q, mset)
 
-    @property
+    @cached_property
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
@@ -147,24 +148,24 @@ def consecutive_run_bound_mask(n: int, mask: int) -> int:
 class CyclicCode:
     """A cyclic [n, k] code over GF(q) with defining set T."""
 
-    __slots__ = ("n", "q", "T", "k", "designed_distance_bound", "_g", "_h", "_dual")
+    __slots__ = ("n", "q", "T", "field", "k", "designed_distance_bound", "_g", "_h", "_dual",
+                 "_descriptor")
 
     def __init__(self, T: DefiningSet):
         self.n = T.n
         self.q = T.q
         self.T = T
+        #: GF(q) under the modulus table in force when the code was built
+        self.field: Field = field_of_size(self.q)
         self.k = self.n - len(T.members)
         #: lower bound on the minimum distance from consecutive roots
         self.designed_distance_bound = consecutive_run_bound(self.n, T.members)
         self._g: Polynomial | None = None
         self._h: Polynomial | None = None
         self._dual: CyclicCode | None = None
+        self._descriptor: str | None = None
 
     # -- parameters -----------------------------------------------------------
-
-    @property
-    def field(self) -> Field:
-        return field_of_size(self.q)
 
     def _polynomials(self) -> tuple[Polynomial, Polynomial]:
         """(g, h): g the product over i in T of (x - alpha^i), from the coset
@@ -263,7 +264,9 @@ class CyclicCode:
 
     def descriptor(self) -> str:
         """Canonical textual form, reparsed identically by library and CLI."""
-        return f"q={self.q} n={self.n} T={self.T}"
+        if self._descriptor is None:
+            self._descriptor = f"q={self.q} n={self.n} T={self.T}"
+        return self._descriptor
 
     def label(self) -> str:
         return f"[{self.n},{self.k}]_{self.q}"
@@ -365,6 +368,7 @@ def contains(outer: CyclicCode, inner: CyclicCode) -> bool:
 
 
 def _clear_caches() -> None:
+    # a code keeps the field it was built with: a new modulus needs new codes
     _CODE_CACHE.clear()
     _ROOTS_CACHE.clear()
 

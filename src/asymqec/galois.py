@@ -104,11 +104,13 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 def check_length(n: int, q: int) -> None:
-    """Reject lengths with no simple-root cyclic codes over GF(q)."""
+    """Reject lengths with no simple-root cyclic codes over GF(q), and any q
+    that is not a field size."""
     if n < 1:
         raise ValueError(f"length n={n} must be positive")
     if gcd(n, q) != 1:
         raise ValueError(f"gcd(n={n}, q={q}) != 1: unsupported repeated-root length")
+    prime_power(q)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +313,15 @@ class Field:
     values for hot loops, and a `FieldElement` wrapper for everything else.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_alpha_value", "_mod_int", "_exp", "_log")
+    __slots__ = ("p", "m", "q", "modulus", "_hash", "_alpha_value", "_mod_int", "_exp", "_log")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.q = p ** m
         self.modulus = modulus
+        # fields are interned and immutable: hash once
+        self._hash = hash((p, m, modulus))
         # integer encoding of the modulus, used by the GF(2^m) fast path
         self._mod_int = _encode_digits(modulus, p)
         if m == 1:
@@ -487,7 +491,7 @@ class Field:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.m, self.modulus))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

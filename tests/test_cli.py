@@ -92,6 +92,20 @@ def test_cosets_gcd_error_exit_2(capsys):
     assert "gcd" in err
 
 
+@pytest.mark.parametrize("argv,q", [
+    (["cosets", "--n", "7", "--q", "6"], 6),
+    (["cosets", "--n", "5", "--q", "1"], 1),
+    (["code", "q=6 n=7 T={0}"], 6),
+    (["search", "--n", "7", "--q", "6"], 6),
+    (["search", "--n", "15", "--q", "1"], 1),
+])
+def test_q_that_is_not_a_prime_power_exit_2(argv, q, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: q={q} is not a prime power\n"
+
+
 def test_code_text(capsys):
     code, out, _ = run(["code", "q=2", "n=15", "T={1,2,4,8}"], capsys)
     assert code == 0
@@ -182,6 +196,28 @@ def test_table1_unknown_row_exit_2(capsys):
     code, _, err = run(["table1", "--rows", "12"], capsys)
     assert code == 2
     assert "unknown row" in err
+
+
+@pytest.mark.parametrize("rows,message", [
+    (",,", "error: --rows ',,' names no row\n"),
+    (" , ", "error: --rows ' , ' names no row\n"),
+    ("x", "error: --rows: 'x' is not a row number\n"),
+    ("1,2x", "error: --rows: '2x' is not a row number\n"),
+])
+def test_table1_bad_rows_exit_2(rows, message, capsys):
+    code, out, err = run(["table1", "--rows", rows], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+def test_table1_empty_rows_audit_every_row(capsys):
+    code, out, _ = run(["table1", "--rows", "", "--format", "json"], capsys)
+    assert code == 0
+    assert [a["row"] for a in json.loads(out)] == list(range(1, 10))
+    code, out, _ = run(["table1", "--rows", "2,,1,", "--format", "json"], capsys)
+    assert code == 0
+    assert [a["row"] for a in json.loads(out)] == [1, 2]
 
 
 def test_table1_csv(capsys):

@@ -1,0 +1,116 @@
+"""The CLI's JSON writer: the bytes of json.dumps(payload, indent=2).
+
+A seeded property test compares `cli._dumps_indented` with the stdlib on
+built payloads, and every JSON command's stdout must equal the stdlib's
+indent-2 rendering of its own parsed output.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from collections import OrderedDict
+from enum import IntEnum
+
+import pytest
+
+from asymqec import cli
+from asymqec.galois import clear_modulus_overrides
+
+#: characters the escaper must handle: quote, backslash, controls, non-ASCII,
+#: astral and lone-surrogate code points
+CHARS = ["a", "Z", "0", " ", "/", '"', "\\", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f",
+         "\x7f", "é", "ü", "€", " ", "\U0001d53d", "\ud800"]
+
+
+class Label(str):
+    pass
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(CHARS) for _ in range(rng.randrange(6)))
+
+
+def random_leaf(rng: random.Random):
+    kind = rng.randrange(9)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.randrange(-1000, 1000)
+    if kind == 3:
+        return rng.choice([-1, 1]) * rng.randrange(2**64, 2**130)
+    if kind == 4:
+        return rng.choice([0.0, -0.0, 0.1, -2.5, 1e300, 1e-300, float("inf"),
+                           float("-inf"), float("nan"), rng.random()])
+    if kind == 5:
+        return Label(random_text(rng))
+    if kind == 6:
+        return rng.choice(list(Level))
+    return rng.choice(["", "exhaustive", "q=2 n=15 T={1,2,4,8}"])
+
+
+def random_payload(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(6) if depth < 4 else 0
+    if kind == 0:
+        return random_leaf(rng)
+    size = rng.randrange(5)
+    if kind in (1, 2):
+        items = [(random_text(rng), random_payload(rng, depth + 1)) for _ in range(size)]
+        return dict(items) if kind == 1 else OrderedDict(items)
+    items = [random_payload(rng, depth + 1) for _ in range(size)]
+    return tuple(items) if kind == 3 else items
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_writer_matches_the_stdlib_on_built_payloads(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        payload = random_payload(rng)
+        assert cli._dumps_indented(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), "", 0, -7, 2**64, -(2**70), True, False, None, 1.5,
+    {"a": {}, "b": [], "c": ()}, [[], [{}], [[[]]]], {"": {"": []}},
+    {"q\"uote": "back\\slash", "ctl": "\x01\x1f\n", "non-ascii": "GF(2⁴) ∋ α"},
+    [True, False, None, {"x": (1, (2, ()))}],
+])
+def test_writer_matches_the_stdlib_on_edge_cases(payload):
+    assert cli._dumps_indented(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": {None: 1}}, [{(1, 2): 3}], {True: 0}])
+def test_writer_rejects_non_str_keys(payload):
+    with pytest.raises(TypeError):
+        cli._dumps_indented(payload)
+
+
+ROUND_TRIP_ARGV = [
+    ["cosets", "--n", "15", "--q", "2"],
+    ["code", "bch:n=15,q=2,delta=5"],
+    ["code", "rs:q=8,delta=3"],
+    ["derive", "css", "--c1", "bch:n=15,q=2,delta=3", "--c2", "bch:n=15,q=2,delta=5"],
+    ["derive", "extend-poly", "--c1", "bch:n=15,q=2,delta=3", "--f", "minpoly:3"],
+    ["derive", "extend-set", "--c1", "q=2 n=15 T={1,2,4,8}", "--T", "{3,6,9,12}"],
+    ["derive", "subsystem", "--c1", "bch:n=15,q=2,delta=5"],
+    ["table1", "--rows", "1,2"],
+] + [
+    ["search", "--n", n, "--q", q, "--route", route]
+    for n, q in (("15", "2"), ("8", "3"), ("9", "4"))
+    for route in ("css", "extend-poly", "extend-set", "subsystem")
+]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIP_ARGV, ids=[" ".join(a) for a in ROUND_TRIP_ARGV])
+def test_cli_json_is_the_stdlib_indent_2_rendering(argv, capsys):
+    clear_modulus_overrides()
+    assert cli.main(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -1,5 +1,6 @@
 """Algebra facts computed once per job: divisibility answers, root sets of
-divisors of x^n - 1, and the per-code k and designed bound.
+divisors of x^n - 1, the per-code k and designed bound, and each code's
+identity facts (its field and descriptor).
 
 The memos are keyed by polynomial values, never by code identity, and every
 check they feed is still made: a corrupted generator or parity polynomial
@@ -16,9 +17,14 @@ import pytest
 import asymqec.cyclic
 import asymqec.polyring
 from asymqec.aqec import extend_by_polynomial
-from asymqec.cyclic import CyclicCode, bch, divisor_roots, full_space, roots_of
+from asymqec.cyclic import CyclicCode, DefiningSet, bch, divisor_roots, full_space, roots_of, rs
 from asymqec.errors import InternalConsistencyError
-from asymqec.galois import clear_modulus_overrides, make_field, set_modulus_override
+from asymqec.galois import (
+    clear_modulus_overrides,
+    field_of_size,
+    make_field,
+    set_modulus_override,
+)
 from asymqec.polyring import Polynomial, parse_poly
 from asymqec.search import search
 
@@ -121,3 +127,52 @@ def test_membership_tests_leave_the_root_memo_alone():
     xn1 = Polynomial.monomial(code.field, 15) - Polynomial.one(code.field)
     for (f, n), roots in asymqec.cyclic._ROOTS_CACHE.items():
         assert f.is_monic and f.divides(xn1) and len(roots) == f.degree
+
+
+def test_each_interned_code_renders_its_descriptor_once(monkeypatch):
+    renders = Counter()
+    render = DefiningSet.__str__
+
+    def counted(self):
+        renders[self] += 1
+        return render(self)
+
+    monkeypatch.setattr(DefiningSet, "__str__", counted)
+    results = search(15, 2, "subsystem")
+    first = [(p.c1.descriptor(), p.c2.descriptor()) for p in results]
+    assert first == [(p.c1.descriptor(), p.c2.descriptor()) for p in results]
+    described = {code.T for p in results for code in (p.c1, p.c2)}
+    assert set(renders) == described
+    assert max(renders.values()) == 1
+    for code in asymqec.cyclic._CODE_CACHE.values():
+        assert code.T.sorted_members is code.T.sorted_members == tuple(sorted(code.T.members))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
+def test_a_code_carries_the_field_of_its_size(q):
+    code = full_space(7, q)
+    assert code.field is field_of_size(code.q)
+    assert "field" in CyclicCode.__slots__
+
+
+def test_codes_built_after_a_modulus_override_carry_the_new_field():
+    before = rs(8, 3)
+    default = before.field.modulus
+    other = (1, 0, 1, 1) if default == (1, 1, 0, 1) else (1, 1, 0, 1)
+    try:
+        set_modulus_override(2, 3, other)
+        after = rs(8, 3)
+        assert after is not before
+        assert after.field is field_of_size(8)
+        assert after.field.modulus == other
+        assert after.descriptor() == before.descriptor()
+        assert before.field.modulus == default  # a code keeps the field it was built with
+    finally:
+        clear_modulus_overrides()
+    assert rs(8, 3).field.modulus == default
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 4), (3, 2), (5, 1), (2, 8)])
+def test_field_hash_is_the_hash_of_its_identity(p, m):
+    field = make_field(p, m)
+    assert hash(field) == hash((p, m, field.modulus))
