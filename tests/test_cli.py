@@ -32,6 +32,7 @@ GOLDEN_CASES = [
      ["derive", "css", "--c1", "bch:n=15,q=2,delta=3", "--c2", "bch:n=15,q=2,delta=5"]),
     ("derive_subsystem_15.json", ["derive", "subsystem", "--c1", "bch:n=15,q=2,delta=5"]),
     ("table1_rows_1_2.json", ["table1", "--rows", "1,2"]),
+    ("table1.json", ["table1"]),
     ("search_n7_css.json", ["search", "--n", "7", "--q", "2", "--max-results", "5"]),
 ]
 
