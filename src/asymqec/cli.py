@@ -314,8 +314,6 @@ def _add_common(sub, weights=True, exact=False):
     if weights:
         sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help="max codeword enumerations (default 2^28)")
-        sub.add_argument("--workers", type=int, default=1,
-                         help="accepted and ignored; weight searches run serially")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     if exact:
         sub.add_argument("--exact", action="store_true",

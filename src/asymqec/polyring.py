@@ -302,7 +302,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def render_poly(poly: Polynomial, var: str = "x") -> str:
+def render_poly(poly: Polynomial) -> str:
     """Render like "x^4 + x + 1"; extension-field coefficients appear as a^k."""
     if poly.is_zero:
         return "0"
@@ -316,7 +316,7 @@ def render_poly(poly: Polynomial, var: str = "x") -> str:
         if deg == 0:
             terms.append(cs)
         else:
-            xs = var if deg == 1 else f"{var}^{deg}"
+            xs = "x" if deg == 1 else f"x^{deg}"
             terms.append(xs if c == 1 else f"{cs}*{xs}")
     return " + ".join(terms)
 

@@ -36,7 +36,6 @@ search walks each code of a length at most twice, whatever its pair count.
 `enumerated` counts the codewords accounted for in an answer: the classes
 scanned plus, per distribution read, the cheaper side's (q^k - 1)/(q - 1)
 classes, cached or not, walked one by one or met in orbits.
-`early_stop=False` skips the scan; `workers` is ignored.
 
 An inner code equal to the outer one leaves an empty difference; this arises
 exactly for derived codes with zero logical dimension, where the convention
@@ -239,8 +238,8 @@ def _plane_scan(code: CyclicCode, counts: list[int], cap: int, lb: int = -1) -> 
 # Per-code facts, cached
 # ---------------------------------------------------------------------------
 
-#: (code, early_stop) -> (d, messages scanned, codes walked for distributions)
-_MIN_CACHE: dict[tuple[CyclicCode, bool], tuple[int, int, frozenset[CyclicCode]]] = {}
+#: code -> (d, messages scanned, codes walked for distributions)
+_MIN_CACHE: dict[CyclicCode, tuple[int, int, frozenset[CyclicCode]]] = {}
 #: code -> (weight distribution, the code walked for it)
 _DIST_CACHE: dict[CyclicCode, tuple[Distribution, CyclicCode]] = {}
 #: (n, q, coset representative) -> one packed word per orbit of the minimal ideal
@@ -269,14 +268,13 @@ def _distribution(code: CyclicCode) -> tuple[Distribution, CyclicCode]:
     return hit
 
 
-def _min(code: CyclicCode, early_stop: bool) -> tuple[int, int, frozenset[CyclicCode]]:
+def _min(code: CyclicCode) -> tuple[int, int, frozenset[CyclicCode]]:
     """(d, messages scanned, codes walked for the distribution read) of a k > 0 code."""
-    key = (code, early_stop)
-    hit = _MIN_CACHE.get(key)
+    hit = _MIN_CACHE.get(code)
     if hit is None:
         lb = code.designed_distance_bound
         total = _messages(code.q, code.k)
-        cap = _messages(code.q, min(code.k, code.n - code.k)) if early_stop else 0
+        cap = _messages(code.q, min(code.k, code.n - code.k))
         counts = [0] * (code.n + 1)
         scanned = _plane_scan(code, counts, cap, lb)
         best = next((w for w, c in enumerate(counts) if c), _INF)
@@ -287,7 +285,7 @@ def _min(code: CyclicCode, early_stop: bool) -> tuple[int, int, frozenset[Cyclic
             walked = frozenset((walked_code,))
         if best < lb:
             raise InternalConsistencyError(f"found weight {best} below the proven lower bound {lb}")
-        hit = _MIN_CACHE[key] = (best, scanned, walked)
+        hit = _MIN_CACHE[code] = (best, scanned, walked)
     return hit
 
 
@@ -295,19 +293,18 @@ def _min(code: CyclicCode, early_stop: bool) -> tuple[int, int, frozenset[Cyclic
 # Public operations
 # ---------------------------------------------------------------------------
 
-def min_weight(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
-               workers: int = 1, early_stop: bool = True) -> WeightReport:
+def min_weight(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
     """Exact minimum nonzero Hamming weight of the code.
 
     "exhaustive" when the q^k codewords fit the budget, otherwise
     "macwilliams" (the dual side's distribution) when q^(n-k) fits;
-    BudgetExceeded when neither side fits. `workers` is ignored.
+    BudgetExceeded when neither side fits.
     """
     if code.k == 0:
         raise ValueError("the zero code has no nonzero codewords")
     space = code.q**code.k
     if space <= budget:
-        value, scanned, walked = _min(code, early_stop)
+        value, scanned, walked = _min(code)
         return WeightReport(value, "exhaustive", _words(scanned, walked), budget)
     if code.q ** (code.n - code.k) > budget:
         raise BudgetExceeded(space, budget)
@@ -316,32 +313,30 @@ def min_weight(code: CyclicCode, budget: int = DEFAULT_BUDGET, *,
 
 
 def min_weight_difference(outer: CyclicCode, inner: CyclicCode,
-                          budget: int = DEFAULT_BUDGET, *,
-                          workers: int = 1, early_stop: bool = True) -> WeightReport:
+                          budget: int = DEFAULT_BUDGET) -> WeightReport:
     """Exact minimum weight over codewords of `outer` not in `inner`.
 
     Requires inner to be nested in outer. An inner equal to outer leaves an
     empty difference (the zero-logical-dimension situation); the minimum
     weight of the full outer code is reported then, matching the stabilizer
     convention. An inner zero code reduces to plain min_weight. Raises
-    BudgetExceeded when q^k_outer exceeds the budget. `workers` is ignored.
+    BudgetExceeded when q^k_outer exceeds the budget.
     """
     outer.T.check_matching(inner.T)
     if not outer.contains(inner):
         raise NotNested(f"{inner.descriptor()} is not a subcode of {outer.descriptor()}")
-    return min_weight_difference_unchecked(outer, inner, budget, early_stop=early_stop)
+    return min_weight_difference_unchecked(outer, inner, budget)
 
 
 def min_weight_difference_unchecked(outer: CyclicCode, inner: CyclicCode,
-                                    budget: int = DEFAULT_BUDGET, *,
-                                    early_stop: bool = True) -> WeightReport:
+                                    budget: int = DEFAULT_BUDGET) -> WeightReport:
     """min_weight_difference of a pair the caller knows to be nested."""
     if inner.k == 0 or inner.k == outer.k:
-        return min_weight(outer, budget, early_stop=early_stop)
+        return min_weight(outer, budget)
     space = outer.q**outer.k
     if space > budget:
         raise BudgetExceeded(space, budget)
-    value, scanned, walked = _min(outer, early_stop)
+    value, scanned, walked = _min(outer)
     # below inner's designed bound, a minimum word of outer cannot lie in inner
     if value >= inner.designed_distance_bound:
         a_outer, outer_walked = _distribution(outer)
@@ -388,10 +383,8 @@ def _orbit_representatives(n: int, q: int, coset: CyclotomicCoset) -> tuple[int,
     minus 0.
 
     Each unmarked word of M_s opens an orbit: the rotation cycles of its
-    multiples by the powers of alpha. Words are marked by the digits of
-    their first d coordinates, an information set of any [n, d] cyclic
-    code, in a table of q^d entries. An orbit of other than o_s words raises
-    InternalConsistencyError.
+    multiples by the powers of alpha. Words are marked in a set of packed
+    words. An orbit of other than o_s words raises InternalConsistencyError.
     """
     key = (n, q, coset.representative)
     if key not in _ORBIT_CACHE:
@@ -407,7 +400,7 @@ def _orbit_closed(count: int, size: int, coset: CyclotomicCoset) -> None:
 
 
 def _plane_orbits(ideal: CyclicCode, coset: CyclotomicCoset, size: int) -> tuple[int, ...]:
-    n, p, m, d = ideal.n, ideal.field.p, ideal.field.m, ideal.k
+    n, p, m = ideal.n, ideal.field.p, ideal.field.m
     width = _lane_bits(p)
     plane = n * width
     add = _adder(n, p, m)
@@ -419,49 +412,25 @@ def _plane_orbits(ideal: CyclicCode, coset: CyclotomicCoset, size: int) -> tuple
     top = (m - 1) * plane
     units = [c * plane for c, coeff in enumerate(ideal.field.modulus[:m])
              for _ in range(-coeff % p)]
-    # the first d lanes of every plane, gathered into m*d lanes, then paired
-    # up into one base-p number: a 2w-bit lane holds lo + p^(w/W) * hi
-    first = (1 << d * width) - 1
-    gather = [(c * (plane - d * width), first << c * d * width) for c in range(m)]
-    radix, lanes, bits = [], m * d, width
-    while p > 2 and lanes > 1:
-        radix.append((bits, _lanes((lanes + 1) // 2, 2 * bits, (1 << bits) - 1),
-                      p ** (bits // width)))
-        lanes, bits = (lanes + 1) // 2, 2 * bits
-
-    def index(x: int) -> int:
-        i = 0
-        for shift, mask in gather:
-            i |= (x >> shift) & mask
-        for bits, mask, scale in radix:
-            i = (i & mask) + ((i >> bits) & mask) * scale
-        return i
-
-    if m == 1 and not radix:  # GF(2): the low d bits, taken without a Python-level call
-        index = first.__and__
-    seen = bytearray(ideal.q**d)
-    seen[0] = 1  # the zero word
+    seen = {0}
     reps = []
     word = 0
     for row in _steps(_plane_rows(ideal), p):
         word = add(word, row)
-        if seen[index(word)]:
+        if word in seen:
             continue
-        count, y = 0, word
+        marked, y = len(seen), word
         for _ in range(ideal.q - 1):
-            if not seen[index(y)]:
-                x = y
-                while True:
-                    seen[index(x)] = 1
-                    count += 1
-                    x = ((x << width) & keep) | ((x >> last) & wrap)  # one cyclic shift
-                    if x == y:
-                        break
+            # seen is a union of whole rotation cycles, so y's cycle is all in or all out
+            x = y
+            while x not in seen:
+                seen.add(x)
+                x = ((x << width) & keep) | ((x >> last) & wrap)  # one cyclic shift
             z, y = y >> top, (y << plane) & full
             for shift in units:
                 y = add(y, z << shift)
         reps.append(word)
-        _orbit_closed(count, size, coset)
+        _orbit_closed(len(seen) - marked, size, coset)
     return tuple(reps)
 
 

@@ -231,9 +231,7 @@ def test_table1_csv(capsys):
 def test_table1_verdicts_stable_across_runs_and_workers(capsys):
     _, first, _ = run(["table1", "--rows", "1,2,3", "--format", "json"], capsys)
     _, second, _ = run(["table1", "--rows", "1,2,3", "--format", "json"], capsys)
-    _, threaded, _ = run(["table1", "--rows", "1,2,3", "--format", "json",
-                          "--workers", "2"], capsys)
-    assert first == second == threaded
+    assert first == second
 
 
 def test_search_text_and_limits(capsys):

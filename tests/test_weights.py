@@ -96,20 +96,19 @@ def test_min_weight_difference_requires_nesting():
 def test_min_weight_difference_brute_force_nested_pairs_n15():
     codes = all_cyclic_codes(15, 2)
     spans = {c: oracle.span(generator_matrix(c).bitmask_rows()) for c in codes}
-    for early in (True, False):
-        fresh()
-        checked = 0
-        for outer, inner in itertools.product(codes, repeat=2):
-            if outer.k == 0 or inner.k == 0 or inner.k >= outer.k:
-                continue
-            if not outer.contains(inner):
-                continue
-            diff = [w.bit_count() for w in spans[outer] - spans[inner]]
-            assert min_weight_difference(outer, inner, early_stop=early).value == min(diff)
-            # subset minimum can only rise
-            assert min(diff) >= min_weight(outer).value
-            checked += 1
-        assert checked > 30
+    fresh()
+    checked = 0
+    for outer, inner in itertools.product(codes, repeat=2):
+        if outer.k == 0 or inner.k == 0 or inner.k >= outer.k:
+            continue
+        if not outer.contains(inner):
+            continue
+        diff = [w.bit_count() for w in spans[outer] - spans[inner]]
+        assert min_weight_difference(outer, inner).value == min(diff)
+        # subset minimum can only rise
+        assert min(diff) >= min_weight(outer).value
+        checked += 1
+    assert checked > 30
 
 
 def test_budget_exceeded_carries_required_count():
@@ -260,25 +259,20 @@ def test_symplectic_weight():
 def test_worker_determinism_31_16_7():
     code = bch(31, 2, 7)
     fresh()
-    serial = min_weight(code, workers=1)
+    first = min_weight(code)
     fresh()
-    parallel = min_weight(code, workers=4)
-    assert serial == parallel
-    fresh()
-    serial_full = min_weight(code, workers=1, early_stop=False)
-    fresh()
-    parallel_full = min_weight(code, workers=4, early_stop=False)
-    assert serial_full == parallel_full
-    assert serial_full.value == serial.value == 7
+    second = min_weight(code)
+    assert first == second
+    assert first.value == 7
 
 
 def test_worker_determinism_difference():
     outer, inner = bch(31, 2, 5), bch(31, 2, 7).dual()
     fresh()
-    serial = min_weight_difference(outer, inner, workers=1)
+    first = min_weight_difference(outer, inner)
     fresh()
-    parallel = min_weight_difference(outer, inner, workers=3)
-    assert serial == parallel
+    second = min_weight_difference(outer, inner)
+    assert first == second
 
 
 def test_bch_bound_within_budget():
@@ -321,26 +315,26 @@ def test_qary_kernels_against_brute_force_span(n, q):
             continue
         weights = [oracle.weight_q(w) for w in spans[code]]
         expected = min(w for w in weights if w)
-        for early in (True, False):
-            fresh()
-            assert min_weight(code, early_stop=early).value == expected
+        fresh()
+        assert min_weight(code).value == expected
         assert weight_distribution(code) == tuple(sorted(Counter(weights).items()))
     for outer in codes:
         for inner in codes:
             if inner == outer or not outer.contains(inner):
                 continue
             expected = min(oracle.weight_q(w) for w in spans[outer] - spans[inner])
-            for early in (True, False):
-                fresh()
-                assert min_weight_difference(outer, inner, early_stop=early).value == expected
-            # without the scan the answer walks the cheaper side of outer, and
-            # that of inner unless d(outer) is below inner's designed bound
-            report = min_weight_difference(outer, inner, early_stop=False)
-            walked = {cheaper_side(outer)}
+            fresh()
+            report = min_weight_difference(outer, inner)
+            assert report.value == expected
+            # the answer counts the scan of outer and the cheaper side of each
+            # distribution read: outer's when its scan did not settle, and both
+            # codes' unless d(outer) is below inner's designed bound
+            _, scanned, walked = asymqec.weights._MIN_CACHE[outer]
+            walked = set(walked)
             d_outer = min(oracle.weight_q(w) for w in spans[outer] if any(w))
             if d_outer >= inner.designed_distance_bound:
-                walked.add(cheaper_side(inner))
-            assert report.enumerated == sum(messages(c) for c in walked)
+                walked |= {cheaper_side(outer), cheaper_side(inner)}
+            assert report.enumerated == scanned + sum(messages(c) for c in walked)
 
 
 @pytest.mark.parametrize("n,q", [(8, 3), (13, 3), (9, 4), (6, 5), (8, 7), (7, 8), (10, 9),
@@ -380,9 +374,8 @@ def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
         assert visited == Counter(oracle.projective_classes(rows, field))
         words = oracle.span_q(rows, n, field)
         expected = tuple(sorted(Counter(oracle.weight_q(w) for w in words).items()))
-        for early in (True, False):
-            fresh()
-            assert min_weight(code, early_stop=early).value == expected[1][0]
+        fresh()
+        assert min_weight(code).value == expected[1][0]
         assert weight_distribution(code) == expected
         lead = asymqec.weights._lead(code)
         assert asymqec.weights._distribution_split(code, lead) == expected
@@ -446,6 +439,16 @@ def test_min_weight_counts_scan_and_distribution_exactly():
             fresh()
         report = min_weight(hamming(3, 3))
         assert (report.value, report.method, report.enumerated) == (3, "exhaustive", 26)
+
+
+def test_min_weight_rejects_a_distribution_below_the_designed_bound():
+    code = hamming(3, 3)  # [13,10,3]_3, designed bound 2: the scan never settles it
+    fresh()
+    # a corrupt distribution of the cheaper (dual) side with two weight-1 words
+    asymqec.weights._DIST_CACHE[code] = (((0, 1), (1, 2), (3, 3**10 - 3)), code.dual())
+    with pytest.raises(InternalConsistencyError, match="below the proven lower bound"):
+        min_weight(code)
+    fresh()
 
 
 def test_min_weight_difference_rejects_inconsistent_distributions():
