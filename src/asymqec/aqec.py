@@ -21,8 +21,7 @@ propagating a wrong parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclic import (
     CheckMatrix,
@@ -71,8 +70,7 @@ def _params_dict(p: AqecParams | SubsystemParams, r: int | None = None) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class AqecParams:
+class AqecParams(NamedTuple):
     """A derived asymmetric quantum code [[n, k, dz/dx]]_q with provenance."""
 
     n: int
@@ -93,8 +91,7 @@ class AqecParams:
         return _params_dict(self)
 
 
-@dataclass(frozen=True)
-class SubsystemParams:
+class SubsystemParams(NamedTuple):
     """A derived asymmetric subsystem code [[n, k, r, dz/dx]]_q."""
 
     n: int
@@ -116,8 +113,7 @@ class SubsystemParams:
         return _params_dict(self, self.r)
 
 
-@dataclass(frozen=True)
-class CorrectionCapability:
+class CorrectionCapability(NamedTuple):
     """Guaranteed error-correction radii; exact=False when distances are bounds."""
 
     t_x: int
@@ -179,7 +175,7 @@ def _css(c1: CyclicCode, c2: CyclicCode, budget: int,
     # exact as dx: an unknown smaller side could otherwise undercut dx
     dx, dz = sorted((side1, side2), key=lambda r: (r.value, not r.is_exact))
     if not dx.is_exact:
-        dz = replace(dz, method="bound-only")
+        dz = dz._replace(method="bound-only")
     pure = None
     if (purity if purity is not None else n <= PURITY_AUTO_LIMIT):
         pure = _evaluate_purity(side1, side2, c1, c2, budget)

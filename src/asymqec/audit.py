@@ -21,10 +21,9 @@ Verdicts are deterministic across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .aqec import AqecParams, css_aqec
 from .cyclic import CyclicCode, bch, consecutive_run_bound_mask, from_defining_set
@@ -39,8 +38,7 @@ PARTIAL = "PARTIAL"
 NOT_REPRODUCED = "NOT-REPRODUCED"
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     """One printed row: classical inputs [n,k,d] and the claimed [[n,k,dz/dx]]."""
 
     index: int
@@ -71,8 +69,7 @@ REFERENCE_TABLE: tuple[ReferenceRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RowAudit:
+class RowAudit(NamedTuple):
     """Outcome of auditing one reference row.
 
     `c1`/`c2` are the resolved input codes' canonical descriptors (reparse to
@@ -276,7 +273,7 @@ def _cross_row_notes(audits: list[RowAudit]) -> list[RowAudit]:
                 f"Z-side input {row.classical_label(row.c2)}; the printed row is "
                 f"self-inconsistent"
             )
-        out.append(replace(audit, notes=tuple(notes)))
+        out.append(audit._replace(notes=tuple(notes)))
     return out
 
 

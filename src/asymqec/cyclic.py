@@ -18,10 +18,8 @@ the canonical textual code descriptors shared by the library and the CLI:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import galois
 from .errors import InternalConsistencyError
@@ -29,13 +27,45 @@ from .galois import Field, check_length, field_of_size, nth_root_field, subfield
 from .polyring import Polynomial, coset_of, cyclotomic_cosets, factor_xn_minus_1
 
 
-@dataclass(frozen=True)
 class DefiningSet:
-    """A union of cyclotomic cosets modulo n, the identity of a cyclic code."""
+    """A union of cyclotomic cosets modulo n, the identity of a cyclic code.
+
+    Immutable: sets with equal (n, q, members) are equal and hash alike. The
+    members are sorted once, on the first use of `sorted_members`.
+    """
+
+    __slots__ = ("n", "q", "members", "_sorted")
 
     n: int
     q: int
     members: frozenset[int]
+
+    def __init__(self, n: int, q: int, members: frozenset[int]):
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "q", q)
+        init(self, "members", members)
+        init(self, "_sorted", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"DefiningSet is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"DefiningSet is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DefiningSet:
+            return NotImplemented
+        return (self.n, self.q, self.members) == (other.n, other.q, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.q, self.members))
+
+    def __reduce__(self):
+        return DefiningSet, (self.n, self.q, self.members)  # copy and pickle bypass __setattr__
+
+    def __repr__(self) -> str:
+        return f"DefiningSet(n={self.n!r}, q={self.q!r}, members={self.members!r})"
 
     @classmethod
     def closed(cls, n: int, q: int, members: Iterable[int]) -> DefiningSet:
@@ -54,9 +84,11 @@ class DefiningSet:
                     )
         return cls(n, q, mset)
 
-    @cached_property
+    @property
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        if self._sorted is None:
+            object.__setattr__(self, "_sorted", tuple(sorted(self.members)))
+        return self._sorted
 
     def complement(self) -> DefiningSet:
         return DefiningSet(self.n, self.q, frozenset(range(self.n)) - self.members)
@@ -380,8 +412,7 @@ galois.register_invalidation_hook(_clear_caches)
 # Generator / parity-check matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckMatrix:
+class CheckMatrix(NamedTuple):
     """A full-row-rank matrix over GF(q) tagged with its role."""
 
     field: Field

@@ -26,10 +26,9 @@ is rejected.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
 
@@ -506,8 +505,7 @@ class Field:
         return "a" if e == 1 else f"a^{e}"
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(NamedTuple):
     """An element of a `Field`, closed under the usual operator protocol."""
 
     field: Field

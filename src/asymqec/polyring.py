@@ -12,10 +12,9 @@ answers are memoized by value and dropped with the other derived caches.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import galois
 from .errors import InternalConsistencyError
@@ -26,8 +25,7 @@ from .galois import (Field, FieldElement, check_length, field_of_size, nth_root_
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """Polynomial over a Field; coefficients ascending, no trailing zeros.
 
     Products, division and embedded evaluation add inline where the field
@@ -369,8 +367,7 @@ def parse_poly(text: str, field: Field) -> Polynomial:
 # Cyclotomic cosets and minimal polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
+class CyclotomicCoset(NamedTuple):
     """The orbit of a residue under multiplication by q modulo n."""
 
     n: int

@@ -4,9 +4,10 @@ Codes and partners are coset unions from one enumerator (`coset_unions`);
 the space doubles per coset, so a cap guards against unusable lengths.
 Pairs are built, not filtered: C2-dual lies in C1 exactly when T(C1) lies
 in T(C2-dual), so the css partners of C2 are the unions inside T(C2-dual),
-and each derivation still checks its own nesting and dimensions. Duplicates
-are suppressed and results come back sorted by falling distance asymmetry
-dz - dx, then falling logical dimension, then defining sets.
+and each derivation still checks its own nesting and dimensions. An
+extend-set block T is derived once per T union -T, which alone fixes C2.
+Duplicates are suppressed and results come back sorted by falling distance
+asymmetry dz - dx, then falling logical dimension, then defining sets.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ def _cosets_within(cosets: Sequence[CyclotomicCoset],
                    members: frozenset[int]) -> list[CyclotomicCoset]:
     """The cosets inside a coset-closed residue set."""
     return [c for c in cosets if c.representative in members]
+
+
+def _negated(mask: int, n: int) -> int:
+    """Bitmask of -T mod n, for T the residues set in `mask`."""
+    return sum(1 << -s % n for s in mask_residues(mask))
 
 
 def _sort_key(params: AqecParams | SubsystemParams):
@@ -106,9 +112,13 @@ def search(n: int, q: int, route: str = "css", budget: int = DEFAULT_BUDGET, *,
             if c1.k == 0:
                 continue
             allowed = _cosets_within(cosets, c1.dual().T.members - c1.T.members)
+            # C2 depends on the block T only through T union -T: derive each once
+            closed = set()
             for mask in coset_unions(allowed):
+                block = mask | _negated(mask, n)
                 # the full space with the empty block would pair with the zero code
-                if mask or c1.k < n:
+                if block not in closed and (mask or c1.k < n):
+                    closed.add(block)
                     results.append(extend_by_defining_set(c1, mask_residues(mask), budget)[1])
     else:  # subsystem
         for c1 in codes:

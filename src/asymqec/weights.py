@@ -22,8 +22,9 @@ alpha^s, so shifts and scalars permute M_s minus 0 freely in orbits of
 o_s = lcm(n / gcd(n, s), q - 1) words, each mapping a + rest (rest: the other
 ideals) onto a fiber of the same weights. So with the lead ideal of largest
 o_s, A(code) = A(rest) + o_s * sum of hist(a + rest) over one a per orbit.
-This split is used when its reps * q^(k - d) + q^d words are fewer than the
-direct walk's (q^k - 1)/(q - 1) projective classes.
+This split is used when its reps * q^(k - d) fiber words, plus the q^d words
+of M_s marked to find the representatives at `_MARK_STEPS` walk steps each,
+are fewer than the direct walk's (q^k - 1)/(q - 1) projective classes.
 
 `min_weight` is the scan's minimum when the scan reached the bound or walked
 the whole code, and otherwise the first nonzero weight of the distribution.
@@ -44,10 +45,9 @@ is the minimum weight of the full outer code, and that is what is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import galois
 from .cyclic import CyclicCode, from_defining_set
@@ -59,11 +59,14 @@ DEFAULT_BUDGET = 1 << 28
 
 _INF = 1 << 62
 
+#: walk steps that marking one word of a minimal ideal costs (3.1-4.0 measured
+#: over GF(2), 3.7 over GF(4), 1.0-1.7 over GF(3), each against a Gray step)
+_MARK_STEPS = 4
+
 Distribution = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     """Outcome of a minimum-weight computation.
 
     method "exhaustive" and "macwilliams" are exact; "bound-only" means
@@ -455,7 +458,7 @@ def _distribution_direct(code: CyclicCode) -> Distribution:
     q, lead = code.q, _lead(code)
     d = len(lead.members)
     reps = (q**d - 1) // _orbit_size(code.n, q, lead.representative)
-    if reps * q ** (code.k - d) + q**d < _messages(q, code.k):
+    if reps * q ** (code.k - d) + _MARK_STEPS * q**d < _messages(q, code.k):
         return _distribution_split(code, lead)
     counts = [0] * (code.n + 1)
     _plane_scan(code, counts, _INF)

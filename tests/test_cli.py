@@ -293,6 +293,19 @@ def test_modulus_override_via_environment(tmp_path):
     assert bad.stderr.startswith(f"error: {table}:2: invalid literal for int()")
 
 
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    """The records are named tuples, so importing the CLI and building its
+    parser in a fresh interpreter pulls in no dataclass machinery. Without
+    site (-S), no .pth file of the environment can load the modules first."""
+    probe = ("import sys, asymqec.cli; asymqec.cli.build_parser(); "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_derive_css_text(capsys):
     code, out, _ = run(["derive", "css", "--c1", "bch:n=15,q=2,delta=3",
                         "--c2", "bch:n=15,q=2,delta=5"], capsys)

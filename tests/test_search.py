@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 
 import pytest
 
 import oracle
+from asymqec.aqec import extend_by_defining_set
 from asymqec.cyclic import CyclicCode
+from asymqec.polyring import cyclotomic_cosets
 from asymqec.search import all_cyclic_codes, search
 
 # the package re-exports the function `search` under the module's name
@@ -72,6 +75,42 @@ def test_css_search_derives_exactly_the_nested_pairs(monkeypatch, n, q):
     monkeypatch.setattr(search_module, "css_aqec", recording)
     search(n, q, "css")
     assert derived == oracle.css_pairs(all_cyclic_codes(n, q))
+
+
+def extend_set_by_every_block(n, q):
+    """The extend-set results derived from every admissible block T, duplicates
+    of one T union -T included, then deduplicated and sorted as search does."""
+    cosets = cyclotomic_cosets(n, q)
+    derived = []
+    for c1 in all_cyclic_codes(n, q):
+        allowed = [c for c in cosets
+                   if c.representative in c1.dual().T.members - c1.T.members]
+        for size in range(len(allowed) + 1):
+            for chosen in itertools.combinations(allowed, size):
+                block = [s for c in chosen for s in c.members]
+                if c1.k and (block or c1.k < n):
+                    derived.append(extend_by_defining_set(c1, block)[1])
+    unique = {}
+    for params in derived:
+        unique.setdefault(search_module._dedup_key(params), params)
+    return derived, sorted(unique.values(), key=search_module._sort_key)
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (8, 3), (9, 4)])
+def test_extend_set_search_derives_each_closed_block_once(monkeypatch, n, q):
+    every, expected = extend_set_by_every_block(n, q)
+    blocks = []
+    real = search_module.extend_by_defining_set
+
+    def recording(c1, members, budget):
+        blocks.append((c1, frozenset(members) | {-s % n for s in members}))
+        return real(c1, members, budget)
+
+    monkeypatch.setattr(search_module, "extend_by_defining_set", recording)
+    results = search(n, q, "extend-set")
+    assert len(blocks) == len(set(blocks)) == len(results) < len(every)
+    assert [p.as_dict() for p in results] == [p.as_dict() for p in expected]
+    assert results == expected
 
 
 def test_css_search_asks_contains_only_of_nested_pairs(monkeypatch):

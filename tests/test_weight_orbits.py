@@ -130,12 +130,28 @@ def test_word_count_rule(monkeypatch):
                         lambda code, lead: calls.append(code) or real(code, lead))
     fresh()
     # hamming(3, 2) is [7,4]; its distribution walks the [7,3] dual, where the
-    # split would walk 1 * 2^0 + 2^3 = 9 words against 7
+    # split would walk 1 * 2^0 + 4 * 2^3 = 33 words against 7
     assert weight_distribution(hamming(3, 2)) == ((0, 1), (3, 7), (4, 7), (7, 1))
     assert calls == []
-    # the [127,21] dual of bch(127, 2, 7): 1 * 2^14 + 2^7 words against 2^21 - 1
+    # each [43,15] binary code: 381 * 2^1 + 4 * 2^14 against 2^15 - 1, where
+    # the split took twice the plain walk's time
+    cosets = cyclotomic_cosets(43, 2)
+    assert [len(c.members) for c in cosets] == [1, 14, 14, 14]
+    for kept in cosets[1:]:
+        code = from_defining_set(43, 2, [s for c in cosets[1:] if c != kept for s in c.members])
+        assert code.k == 15
+        weight_distribution(code)
+    assert calls == []
+    # the [89,22] binary code with nonzeros the first two 11-cosets:
+    # 23 * 2^11 + 4 * 2^11 against 2^22 - 1
+    cosets = cyclotomic_cosets(89, 2)
+    code = from_defining_set(89, 2, [s for c in cosets[:1] + cosets[3:] for s in c.members])
+    assert code.k == 22
+    weight_distribution(code)
+    assert calls == [code]
+    # the [127,21] dual of bch(127, 2, 7): 1 * 2^14 + 4 * 2^7 against 2^21 - 1
     weight_distribution(bch(127, 2, 7))
-    assert calls[0] == bch(127, 2, 7).dual()
+    assert calls[1] == bch(127, 2, 7).dual()
     fresh()
 
 
@@ -144,7 +160,9 @@ def test_orbit_cache_follows_a_modulus_override():
     default = make_field(2, 3).modulus
     other = (1, 0, 1, 1) if default == (1, 1, 0, 1) else (1, 1, 0, 1)
     for code in all_cyclic_codes(7, 8):
-        weight_distribution(code)  # fills the orbit cache in the default field
+        weight_distribution(code)
+        if code.k:  # no length-7 code pays for the split, so fill the orbit cache here
+            asymqec.weights._distribution_split(code, asymqec.weights._lead(code))
     assert asymqec.weights._ORBIT_CACHE
     try:
         set_modulus_override(2, 3, other)
