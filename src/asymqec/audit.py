@@ -9,7 +9,8 @@ subject to the nesting premise), the quantum code is derived, and the
 computed parameters are compared with the printed ones. The search builds
 only the unions whose size is the stated redundancy n - k, as sums of
 same-size cosets: row 9's C2 builds 6,435 of the 65,536 unions of its 16
-allowed cosets.
+allowed cosets. Where the stated distance is beyond verification only the
+three best unions and their count are kept, not the whole ranked list.
 
     REPRODUCED      n, k and both distances match exactly, distances exhaustive
     PARTIAL         n, k match; a distance is only available as a lower bound
@@ -22,8 +23,9 @@ Verdicts are deterministic across runs.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, product
-from typing import NamedTuple, Sequence
+from itertools import chain, combinations, product
+from math import comb, prod
+from typing import Iterator, NamedTuple, Sequence
 
 from .aqec import AqecParams, css_aqec
 from .cyclic import CyclicCode, bch, consecutive_run_bound_mask, from_defining_set
@@ -103,6 +105,28 @@ class RowAudit(NamedTuple):
         }
 
 
+def _union_blocks(target: int,
+                  allowed: Sequence[CyclotomicCoset]) -> list[list[tuple[list[int], int]]]:
+    """Each way to take `target` members from `allowed`: per coset size, the
+    residue bitmasks of the cosets of that size and how many of them to take."""
+    by_size: dict[int, list[int]] = {}
+    for coset in allowed:
+        by_size.setdefault(len(coset.members), []).append(sum(1 << s for s in coset.members))
+    sizes = list(by_size)
+    return [[(by_size[size], count) for size, count in zip(sizes, counts)]
+            for counts in product(*(range(len(by_size[size]) + 1) for size in sizes))
+            if sum(size * count for size, count in zip(sizes, counts)) == target]
+
+
+def _unions(block: Sequence[tuple[list[int], int]], acc: int = 0) -> Iterator[int]:
+    """The unions of one block, one at a time; cosets are disjoint, so each sum is a union."""
+    if not block:
+        return iter((acc,))
+    (masks, count), *rest = block
+    sums = map(acc.__add__, map(sum, combinations(masks, count)))
+    return chain.from_iterable(_unions(rest, s) for s in sums) if rest else sums
+
+
 def _candidate_sets(n: int, target: int, allowed: Sequence[CyclotomicCoset]) -> list[int]:
     """Residue bitmasks of the unions of `allowed` cosets with exactly `target`
     members, ranked by falling designed-distance bound, then by bitmask.
@@ -111,21 +135,24 @@ def _candidate_sets(n: int, target: int, allowed: Sequence[CyclotomicCoset]) -> 
     for each choice of how many cosets to take of each size that adds up to
     `target`, the unions are sums of `combinations` within each size class.
     """
-    by_size: dict[int, list[int]] = {}
-    for coset in allowed:
-        by_size.setdefault(len(coset.members), []).append(sum(1 << s for s in coset.members))
-    sizes = list(by_size)
-    masks: list[int] = []
-    for counts in product(*(range(len(by_size[size]) + 1) for size in sizes)):
-        if sum(size * count for size, count in zip(sizes, counts)) != target:
-            continue
-        # cosets are disjoint, so each sum is a union
-        parts = [map(sum, combinations(by_size[size], count))
-                 for size, count in zip(sizes, counts)]
-        masks.extend(map(sum, product(*parts)))
-    masks.sort()
+    masks = sorted(chain.from_iterable(map(_unions, _union_blocks(target, allowed))))
     masks.sort(key=partial(consecutive_run_bound_mask, n), reverse=True)
     return masks
+
+
+def _best_candidates(n: int, target: int, allowed: Sequence[CyclotomicCoset],
+                     keep: int) -> tuple[int, list[int]]:
+    """(number of candidate sets, the first `keep` of `_candidate_sets`),
+    walking the unions one at a time instead of holding them all."""
+    # imported here: only rows past verification need it, and every command
+    # would otherwise pay for the import at start-up
+    from heapq import nsmallest
+
+    blocks = _union_blocks(target, allowed)
+    count = sum(prod(comb(len(masks), take) for masks, take in block) for block in blocks)
+    best = nsmallest(keep, chain.from_iterable(map(_unions, blocks)),
+                     key=lambda mask: (-consecutive_run_bound_mask(n, mask), mask))
+    return count, best
 
 
 def _resolve_narrow_sense(n: int, q: int, k: int, d: int) -> CyclicCode | None:
@@ -151,12 +178,11 @@ def _resolve_by_search(stated: tuple[int, int, int], q: int,
         f"{role}: no narrow-sense designed-distance construction has dimension {k}; "
         f"searching coset unions"
     )
-    masks = _candidate_sets(n, n - k, allowed)
     check_distance = q**k <= min(budget, _CANDIDATE_DISTANCE_CAP)
     if check_distance:
         candidates = [
             code
-            for mask in masks
+            for mask in _candidate_sets(n, n - k, allowed)
             for code in (from_defining_set(n, q, mask_residues(mask)),)
             if min_weight(code, budget).value == d
         ]
@@ -167,9 +193,9 @@ def _resolve_by_search(stated: tuple[int, int, int], q: int,
             f"{role}: stated distance {d} of {label} not verifiable at this scale; "
             f"candidates ranked by designed-distance bound"
         )
-        candidates = [from_defining_set(n, q, mask_residues(masks[0]))] if masks else []
-        count = len(masks)
-        preview = [mask_residues(mask) for mask in masks[:3]]
+        count, best = _best_candidates(n, n - k, allowed, 3)
+        candidates = [from_defining_set(n, q, mask_residues(best[0]))] if best else []
+        preview = [mask_residues(mask) for mask in best]
     if count:
         shown = ", ".join("T={" + ",".join(map(str, s)) + "}" for s in preview)
         more = "" if count <= 3 else f" (+{count - 3} more)"

@@ -7,7 +7,10 @@
     asymqec table1 --rows 1,2
     asymqec search --n 15 --q 2 --route css
 
-Output format is text (default), json or csv via --format. Exit codes:
+Output format is text (default), json or csv via --format. JSON is the
+bytes of json.dumps(document, indent=2) plus a newline; list-valued output
+(search, table1, derive subsystem) in every format is written one record at
+a time, each rendered as it is written. Exit codes:
 0 success, 2 precondition or parse error, 3 budget exceeded without a
 fallback, 4 internal consistency failure. The modulus override table is
 read from the file named by ASYMQEC_MODULUS_TABLE.
@@ -21,7 +24,7 @@ import json
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .aqec import (
     AqecParams,
@@ -32,7 +35,7 @@ from .aqec import (
     extend_by_polynomial,
     subsystem_euclidean,
 )
-from .audit import REFERENCE_TABLE, audit_rows
+from .audit import REFERENCE_TABLE, RowAudit, audit_rows
 from .cyclic import CyclicCode, parse_code, parse_residue_set
 from .errors import BudgetExceeded, InternalConsistencyError
 from .polyring import coset_of, cyclotomic_cosets, minimal_polynomial, parse_poly, render_poly
@@ -86,15 +89,28 @@ def _dumps_indented(value, pad: str = "") -> str:
 
 
 def _emit_json(payload) -> None:
-    # one write: json.dump with an indent writes every token separately
-    sys.stdout.write(_dumps_indented(payload) + "\n")
+    """Write json.dumps(payload, indent=2) and a newline: a dict in one write,
+    any other iterable as an array written one element at a time.
+
+    Each element is rendered when it is written, so a list-valued command
+    never holds its records' dicts or its whole output text; one write per
+    element, since json.dump with an indent writes every token separately.
+    """
+    write = sys.stdout.write
+    if isinstance(payload, dict):
+        write(_dumps_indented(payload) + "\n")
+        return
+    head = "[\n  "
+    for record in payload:
+        write(head + _dumps_indented(record, "  "))
+        head = ",\n  "
+    write("[]\n" if head == "[\n  " else "\n]\n")
 
 
-def _emit_csv(rows: list[dict], fieldnames: list[str]) -> None:
+def _emit_csv(rows: Iterable[dict], fieldnames: list[str]) -> None:
     writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, extrasaction="ignore")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
 
 
 def _params_flat(p: AqecParams | SubsystemParams) -> dict:
@@ -150,11 +166,8 @@ def _cmd_cosets(args) -> int:
         _emit_json({"n": args.n, "q": args.q,
                     "cosets": [list(c.members) for c in cosets]})
     elif args.format == "csv":
-        rows = [
-            {"representative": c.representative, "size": len(c.members),
-             "members": ",".join(map(str, c.members))}
-            for c in cosets
-        ]
+        rows = ({"representative": c.representative, "size": len(c.members),
+                 "members": ",".join(map(str, c.members))} for c in cosets)
         _emit_csv(rows, ["representative", "size", "members"])
     else:
         for c in cosets:
@@ -242,10 +255,10 @@ def _cmd_derive(args) -> int:
     if _exact_violated(args, results):
         return EXIT_BUDGET
     if args.format == "json":
-        payload = [p.as_dict() for p in results]
-        _emit_json(payload[0] if len(payload) == 1 else payload)
+        _emit_json(results[0].as_dict() if len(results) == 1
+                   else (p.as_dict() for p in results))
     elif args.format == "csv":
-        _emit_csv([_params_flat(p) for p in results], _PARAMS_FIELDS)
+        _emit_csv(map(_params_flat, results), _PARAMS_FIELDS)
     else:
         for p in results:
             _print_params(p)
@@ -266,21 +279,25 @@ def _parse_rows(text: str) -> list[int]:
     return rows
 
 
+def _audit_flat(a: RowAudit) -> dict:
+    """One CSV row of a table1 audit: the computed code as its label, notes joined."""
+    return {"row": a.index, "verdict": a.verdict, "expected": a.expected,
+            "computed": a.computed.label() if a.computed else "",
+            "c1_printed": a.c1_printed, "c2_printed": a.c2_printed,
+            "c1": a.c1, "c2": a.c2, "notes": "; ".join(a.notes)}
+
+
+_AUDIT_FIELDS = ["row", "verdict", "expected", "computed", "c1_printed", "c2_printed",
+                 "c1", "c2", "notes"]
+
+
 def _cmd_table1(args) -> int:
     indices = _parse_rows(args.rows) if args.rows else None
     audits = audit_rows(indices, args.budget)
     if args.format == "json":
-        _emit_json([a.as_dict() for a in audits])
+        _emit_json(a.as_dict() for a in audits)
     elif args.format == "csv":
-        rows = [
-            {"row": a.index, "verdict": a.verdict, "expected": a.expected,
-             "computed": a.computed.label() if a.computed else "",
-             "c1_printed": a.c1_printed, "c2_printed": a.c2_printed,
-             "c1": a.c1, "c2": a.c2, "notes": "; ".join(a.notes)}
-            for a in audits
-        ]
-        _emit_csv(rows, ["row", "verdict", "expected", "computed",
-                         "c1_printed", "c2_printed", "c1", "c2", "notes"])
+        _emit_csv(map(_audit_flat, audits), _AUDIT_FIELDS)
     else:
         for a in audits:
             computed = a.computed.label() if a.computed else "(none)"
@@ -297,9 +314,9 @@ def _cmd_search(args) -> int:
     results = search(args.n, args.q, args.route, args.budget,
                      max_results=args.max_results, max_codes=args.max_space)
     if args.format == "json":
-        _emit_json([p.as_dict() for p in results])
+        _emit_json(p.as_dict() for p in results)
     elif args.format == "csv":
-        _emit_csv([_params_flat(p) for p in results], _PARAMS_FIELDS)
+        _emit_csv(map(_params_flat, results), _PARAMS_FIELDS)
     else:
         for p in results:
             print(f"{p.label()}  c1: {p.c1.descriptor()}  c2: {p.c2.descriptor()}")

@@ -23,8 +23,10 @@ o_s = lcm(n / gcd(n, s), q - 1) words, each mapping a + rest (rest: the other
 ideals) onto a fiber of the same weights. So with the lead ideal of largest
 o_s, A(code) = A(rest) + o_s * sum of hist(a + rest) over one a per orbit.
 This split is used when its reps * q^(k - d) fiber words, plus the q^d words
-of M_s marked to find the representatives at `_MARK_STEPS` walk steps each,
-are fewer than the direct walk's (q^k - 1)/(q - 1) projective classes.
+of M_s marked to find the representatives at `_MARK_STEPS` walk steps each
+(nothing when they are already cached), are fewer than the direct walk's
+(q^k - 1)/(q - 1) projective classes. All fibers are walked in one call that
+builds the steps once.
 
 `min_weight` is the scan's minimum when the scan reached the bound or walked
 the whole code, and otherwise the first nonzero weight of the distribution.
@@ -150,12 +152,14 @@ def _plane_rows(code: CyclicCode) -> list[int]:
     return [row << i * width for i in range(code.k) for row in expansion]
 
 
-def _steps(rows: Sequence[int], p: int) -> Iterator[int]:
-    """The zero row, then rows[v_p(t)] for t = 1 .. p^k - 1 (k rows). From t - 1
-    to t the p-ary Gray code of t (digit i: t_i - t_(i+1) mod p) moves only
-    digit v_p(t), up by one, so adding these to a start word walks the start
-    plus each GF(p) combination of the rows once. The first half of the rows
-    runs from one list, the rest carries between its repeats."""
+def _steps(rows: Sequence[int], p: int) -> Callable[[], Iterator[int]]:
+    """A walk of the zero row, then rows[v_p(t)] for t = 1 .. p^k - 1 (k rows).
+    From t - 1 to t the p-ary Gray code of t (digit i: t_i - t_(i+1) mod p)
+    moves only digit v_p(t), up by one, so adding these to a start word walks
+    the start plus each GF(p) combination of the rows once. The first half of
+    the rows runs from one list, the rest carries between its repeats. The
+    lists are built once and each call of the returned function walks them
+    again; the walks share a list, so only one may run at a time."""
     def ruler(part: Sequence[int]) -> list[int]:
         seq: list[int] = []
         for row in part:
@@ -170,58 +174,68 @@ def _steps(rows: Sequence[int], p: int) -> Iterator[int]:
             block[0] = carry
             yield block
 
-    return chain.from_iterable(blocks())
+    def walk() -> Iterator[int]:
+        return chain.from_iterable(blocks())
+
+    return walk
 
 
-def _plane_walk(start: int, rows: Sequence[int], n: int, field: galois.Field,
+def _plane_walk(starts: Iterable[int], rows: Sequence[int], n: int, field: galois.Field,
                 counts: list[int], cap: int, lb: int = -1) -> int:
-    """Add to `counts` the weight of `start` plus each GF(p) combination of `rows`
-    in Gray order, at most `cap` words and stopping after the first of weight
-    <= lb; returns the words walked. A weight is the popcount of the OR of
+    """Add to `counts` the weight of each start plus each GF(p) combination of
+    `rows` in Gray order, at most `cap` words per start and stopping after the
+    first of weight <= lb; returns the words walked. The steps and the plane
+    fold are set up once for all starts. A weight is the popcount of the OR of
     the m planes' nonzero lanes."""
     p, m = field.p, field.m
     limit, width, reached = min(cap, p ** len(rows)), _lane_bits(p), 0
     while p**reached < limit:  # steps t < limit add only rows[v_p(t)] with p^v_p(t) <= t
         reached += 1
-    steps = zip(range(limit), _steps(rows[:reached], p))
+    walk = _steps(rows[:reached], p)
     shifts, planes = [], m
     while planes > 1:  # OR the upper half of the planes onto the lower half
         planes = (planes + 1) // 2
         shifts.append(planes * n * width)
-    word = start
+    walked = 0
     if p == 2 and m == 1:  # a single plane needs no fold
-        for t, row in steps:
-            word ^= row
-            w = word.bit_count()
-            counts[w] += 1
-            if w <= lb:
-                return t + 1
+        for word in starts:
+            for t, row in zip(range(limit), walk()):
+                word ^= row
+                w = word.bit_count()
+                counts[w] += 1
+                if w <= lb:
+                    return walked + t + 1
+            walked += limit
     elif p == 2:
         mask = (1 << n) - 1
-        for t, row in steps:
-            word ^= row
-            x = word
-            for s in shifts:
-                x |= x >> s
-            w = (x & mask).bit_count()
-            counts[w] += 1
-            if w <= lb:
-                return t + 1
+        for word in starts:
+            for t, row in zip(range(limit), walk()):
+                word ^= row
+                x = word
+                for s in shifts:
+                    x |= x >> s
+                w = (x & mask).bit_count()
+                counts[w] += 1
+                if w <= lb:
+                    return walked + t + 1
+            walked += limit
     else:
         guard_bit, offset, guards = _guards(m * n, p)
         # a lane plus 2^L - 1 reaches its guard exactly when it is nonzero
         nonzero, low = guards - (guards >> guard_bit), guards & ((1 << n * width) - 1)
-        for t, row in steps:
-            y = word + row
-            word = y - (((y + offset) & guards) >> guard_bit) * p
-            x = (word + nonzero) & guards
-            for s in shifts:
-                x |= x >> s
-            w = (x & low).bit_count()
-            counts[w] += 1
-            if w <= lb:
-                return t + 1
-    return limit
+        for word in starts:
+            for t, row in zip(range(limit), walk()):
+                y = word + row
+                word = y - (((y + offset) & guards) >> guard_bit) * p
+                x = (word + nonzero) & guards
+                for s in shifts:
+                    x |= x >> s
+                w = (x & low).bit_count()
+                counts[w] += 1
+                if w <= lb:
+                    return walked + t + 1
+            walked += limit
+    return walked
 
 
 def _plane_scan(code: CyclicCode, counts: list[int], cap: int, lb: int = -1) -> int:
@@ -232,7 +246,7 @@ def _plane_scan(code: CyclicCode, counts: list[int], cap: int, lb: int = -1) -> 
     for i in range(code.k):
         if walked >= cap or any(counts[1:lb + 1]):
             break
-        walked += _plane_walk(rows[i * m], rows[(i + 1) * m:], code.n, code.field, counts,
+        walked += _plane_walk((rows[i * m],), rows[(i + 1) * m:], code.n, code.field, counts,
                               cap - walked, lb)
     return walked
 
@@ -418,7 +432,7 @@ def _plane_orbits(ideal: CyclicCode, coset: CyclotomicCoset, size: int) -> tuple
     seen = {0}
     reps = []
     word = 0
-    for row in _steps(_plane_rows(ideal), p):
+    for row in _steps(_plane_rows(ideal), p)():
         word = add(word, row)
         if word in seen:
             continue
@@ -442,9 +456,8 @@ def _distribution_split(code: CyclicCode, lead: CyclotomicCoset) -> Distribution
     n, q = code.n, code.q
     rest = from_defining_set(n, q, code.T.members.union(lead.members))
     fibers = [0] * (n + 1)
-    rows = _plane_rows(rest)
-    for a in _orbit_representatives(n, q, lead):
-        _plane_walk(a, rows, n, code.field, fibers, _INF)
+    _plane_walk(_orbit_representatives(n, q, lead), _plane_rows(rest), n, code.field, fibers,
+                _INF)
     counts = [_orbit_size(n, q, lead.representative) * c for c in fibers]
     for w, c in _distribution(rest)[0]:
         counts[w] += c
@@ -458,7 +471,8 @@ def _distribution_direct(code: CyclicCode) -> Distribution:
     q, lead = code.q, _lead(code)
     d = len(lead.members)
     reps = (q**d - 1) // _orbit_size(code.n, q, lead.representative)
-    if reps * q ** (code.k - d) + _MARK_STEPS * q**d < _messages(q, code.k):
+    marking = 0 if (code.n, q, lead.representative) in _ORBIT_CACHE else _MARK_STEPS * q**d
+    if reps * q ** (code.k - d) + marking < _messages(q, code.k):
         return _distribution_split(code, lead)
     counts = [0] * (code.n + 1)
     _plane_scan(code, counts, _INF)

@@ -446,6 +446,57 @@ def test_css_distances_against_brute_force_set_differences(n, q, monkeypatch):
     assert paths["lemma"] and paths["distribution"]
 
 
+def _derived_against_brute_force(n, q):
+    """(route, params, brute-force (dz, dx)) of every extend-poly, extend-set and
+    subsystem derivation at (n, q) whose four codes have at most 4^6 words:
+    the brute-force sides are the lightest words of span(outer) minus
+    span(inner) for the derivation's two nested pairs."""
+    codes = all_cyclic_codes(n, q)
+    spans = {c: oracle.span_q(generator_matrix(c).rows, n, c.field)
+             for c in codes if q**c.k <= 4**6}
+    cosets = cyclotomic_cosets(n, q)
+
+    def brute(pairs):
+        if not all(c in spans for pair in pairs for c in pair):
+            return None
+        sides = [min(oracle.weight_q(w) for w in spans[outer] - spans[inner] or spans[outer]
+                     if any(w)) for outer, inner in pairs]
+        return max(sides), min(sides)
+
+    for c1 in codes:
+        if c1.k == 0:
+            continue
+        c1perp = c1.dual()
+        # f: the generator of a nonzero-degree code whose roots avoid T(C1)
+        for other in codes:
+            if other.k < n and not other.T.members & c1.T.members:
+                c2, params = extend_by_polynomial(c1, other.generator_polynomial)
+                yield "extend-poly", params, brute(((c1, c2.dual()), (c2, c1perp)))
+        allowed = [c for c in cosets if c.representative in c1perp.T.members - c1.T.members]
+        for mask in coset_unions(allowed):
+            if mask:
+                c2, params = extend_by_defining_set(c1, mask_residues(mask))
+                yield "extend-set", params, brute(((c1, c2.dual()), (c2, c1perp)))
+        if c1.k < n:
+            first, swapped = subsystem_euclidean(c1)
+            outer = first.c2.dual()
+            truth = brute(((outer, c1), (c1perp, first.c2)))
+            yield "subsystem", first, truth
+            yield "subsystem", swapped, truth
+
+
+@pytest.mark.parametrize("n,q", [(8, 3), (5, 4), (9, 4)])
+def test_extension_and_subsystem_distances_against_brute_force_set_differences(n, q):
+    checked = Counter()
+    for route, params, truth in _derived_against_brute_force(n, q):
+        if truth is None:
+            continue
+        assert (params.dz.value, params.dx.value) == truth, (route, params.label())
+        assert params.dz.is_exact and params.dx.is_exact
+        checked[route] += 1
+    assert set(checked) == {"extend-poly", "extend-set", "subsystem"}, checked
+
+
 def test_each_derivation_checks_nesting_once(monkeypatch):
     pairs = oracle.css_pairs(all_cyclic_codes(15, 2)) + oracle.css_pairs(all_cyclic_codes(8, 3))
     calls = []

@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 import asymqec.audit as audit_module
-from asymqec.audit import REFERENCE_TABLE, _candidate_sets, audit_row
+from asymqec.audit import REFERENCE_TABLE, _best_candidates, _candidate_sets, audit_row
 from asymqec.cyclic import bch, consecutive_run_bound, consecutive_run_bound_mask
 from asymqec.polyring import coset_unions, cyclotomic_cosets
 
@@ -42,6 +42,7 @@ def test_candidate_sets_against_brute_force(n, q, picked, targets):
             masks = [mask for mask in coset_unions(allowed) if mask.bit_count() == target]
             expected = sorted(masks, key=lambda mask: (-consecutive_run_bound_mask(n, mask), mask))
             assert _candidate_sets(n, target, allowed) == expected
+            assert _best_candidates(n, target, allowed, 3) == (len(expected), expected[:3])
         return
     unions = [
         frozenset(s for coset, take in zip(allowed, flags) if take for s in coset.members)
@@ -55,6 +56,7 @@ def test_candidate_sets_against_brute_force(n, q, picked, targets):
         )
         expected = [sum(1 << s for s in members) for members in ranked]
         assert _candidate_sets(n, target, allowed) == expected
+        assert _best_candidates(n, target, allowed, 3) == (len(expected), expected[:3])
 
 
 def test_audit_row_propagates_construction_errors(monkeypatch):

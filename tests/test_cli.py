@@ -13,8 +13,12 @@ from pathlib import Path
 import pytest
 
 from asymqec import cli
+from asymqec.aqec import subsystem_euclidean
+from asymqec.audit import audit_rows
 from asymqec.cyclic import parse_code
 from asymqec.galois import clear_modulus_overrides
+from asymqec.search import search
+from asymqec.weights import DEFAULT_BUDGET
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -259,6 +263,83 @@ def test_search_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 4
     assert all(r["r"] != "" for r in rows)
+
+
+class WriteLog:
+    """A stdout that keeps every write separately."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_search_writes_one_record_at_a_time(fmt, monkeypatch):
+    argv = ["search", "--n", "21", "--q", "2", "--route", "extend-poly", "--format"]
+    log = WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert cli.main(argv + [fmt]) == 0
+    records = len(search(21, 2, "extend-poly"))
+    assert records > 600
+    if fmt == "json":
+        # the records and the closing bracket; every record opens at indent 2
+        assert len(log.writes) == records + 1
+        assert all(text.count("\n  {") <= 1 for text in log.writes)
+        document = "".join(log.writes)
+        assert document == json.dumps(json.loads(document), indent=2) + "\n"
+    else:
+        # the header and one row per record
+        assert len(log.writes) == records + 1
+        assert all(text.count("\n") == 1 for text in log.writes)
+
+
+def test_search_with_no_results_prints_an_empty_array(capsys):
+    code, out, _ = run(["search", "--n", "15", "--q", "2", "--max-results", "0",
+                        "--format", "json"], capsys)
+    assert code == 0
+    assert out == "[]\n"
+
+
+def _params_results(argv):
+    if argv[0] == "search":
+        return search(int(argv[2]), int(argv[4]), argv[6])
+    return list(subsystem_euclidean(parse_code(argv[3])))
+
+
+LIST_CASES = [
+    ["search", "--n", "15", "--q", "2", "--route", route]
+    for route in ("css", "extend-poly", "extend-set", "subsystem")
+] + [
+    ["search", "--n", "8", "--q", "3", "--route", "subsystem"],
+    ["search", "--n", "9", "--q", "4", "--route", "extend-set"],
+    ["derive", "subsystem", "--c1", "bch:n=15,q=2,delta=5"],
+    ["derive", "subsystem", "--c1", "q=3 n=8 T={1,3}"],
+    ["table1", "--rows", "1,2,3"],
+]
+
+
+@pytest.mark.parametrize("argv", LIST_CASES, ids=[" ".join(a) for a in LIST_CASES])
+def test_list_output_is_the_bytes_of_the_list_built_document(argv, capsys):
+    if argv[0] == "table1":
+        results = audit_rows([1, 2, 3], DEFAULT_BUDGET)
+        flat, fields = cli._audit_flat, cli._AUDIT_FIELDS
+    else:
+        results = _params_results(argv)
+        flat, fields = cli._params_flat, cli._PARAMS_FIELDS
+    assert len(results) > 1
+    listed = json.dumps([r.as_dict() for r in results], indent=2) + "\n"
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=fields, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows([flat(r) for r in results])
+    for fmt, expected in (("json", listed), ("csv", table.getvalue())):
+        clear_modulus_overrides()
+        code, out, err = run(argv + ["--format", fmt], capsys)
+        assert code == 0, err
+        assert out == expected, fmt
 
 
 def test_unknown_command_exit_2(capsys):

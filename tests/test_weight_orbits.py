@@ -19,7 +19,7 @@ from asymqec.errors import InternalConsistencyError
 from asymqec.galois import clear_modulus_overrides, make_field, prime_power, set_modulus_override
 from asymqec.polyring import cyclotomic_cosets
 from asymqec.search import all_cyclic_codes
-from asymqec.weights import weight_distribution
+from asymqec.weights import min_weight, weight_distribution
 
 LENGTHS = [(9, 2), (15, 2), (21, 2), (8, 3), (13, 3), (9, 4), (6, 5), (7, 8), (10, 9)]
 
@@ -185,3 +185,30 @@ def test_orbit_cache_follows_a_modulus_override():
     finally:
         clear_modulus_overrides()
         fresh()
+
+
+def test_cached_lead_representatives_cost_no_marking(monkeypatch):
+    calls = []
+    real = asymqec.weights._distribution_split
+    monkeypatch.setattr(asymqec.weights, "_distribution_split",
+                        lambda code, lead: calls.append(code) or real(code, lead))
+    # each [43,15] binary code: cold, 381 * 2^1 + 4 * 2^14 against 2^15 - 1
+    # picks the plain walk; with its lead ideal's representatives cached the
+    # split walks 381 * 2^1 words and no marking
+    cosets = cyclotomic_cosets(43, 2)
+    read = 0
+    for kept in cosets[1:]:
+        code = from_defining_set(43, 2, [s for c in cosets[1:] if c != kept for s in c.members])
+        fresh()
+        cold = min_weight(code.dual()), weight_distribution(code)
+        assert calls == []
+        fresh()
+        asymqec.weights._orbit_representatives(43, 2, asymqec.weights._lead(code))
+        # the [43,28] dual's report reads this code's distribution or not, alike
+        warm = min_weight(code.dual()), weight_distribution(code)
+        assert calls == [code]
+        assert warm == cold
+        read += cold[0].enumerated > asymqec.weights._messages(2, 15)
+        calls.clear()
+    assert read == 2
+    fresh()

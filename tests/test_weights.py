@@ -343,10 +343,10 @@ def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
     real_walk = asymqec.weights._plane_walk
     calls = []
 
-    def recording_walk(start, rows, length, field, counts, cap, lb=-1):
-        before = list(counts)
-        walked = real_walk(start, rows, length, field, counts, cap, lb)
-        calls.append((start, list(rows), walked, [a - b for a, b in zip(counts, before)]))
+    def recording_walk(starts, rows, length, field, counts, cap, lb=-1):
+        starts, before = list(starts), list(counts)
+        walked = real_walk(starts, rows, length, field, counts, cap, lb)
+        calls.append((starts, list(rows), walked, [a - b for a, b in zip(counts, before)]))
         return walked
 
     monkeypatch.setattr(asymqec.weights, "_plane_walk", recording_walk)
@@ -359,14 +359,20 @@ def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
         def unpack(word):
             return oracle.unpack_planes(word, n, field, width)
 
+        def walked_words(starts, walk_rows):
+            return [w for start in starts
+                    for w in oracle.combinations(unpack(start), [unpack(r) for r in walk_rows],
+                                                 field)]
+
         # the scan visits each projective class once: every recorded walk is
-        # its start plus every GF(p) combination of its rows, with the weights
-        # it counted
+        # its one start plus every GF(p) combination of its rows, with the
+        # weights it counted
         calls.clear()
         asymqec.weights._plane_scan(code, [0] * (n + 1), asymqec.weights._INF)
         visited = Counter()
-        for start, walk_rows, walked, added in calls:
-            words = oracle.combinations(unpack(start), [unpack(r) for r in walk_rows], field)
+        for starts, walk_rows, walked, added in calls:
+            assert len(starts) == 1
+            words = walked_words(starts, walk_rows)
             assert walked == len(words)
             histogram = Counter(oracle.weight_q(w) for w in words)
             assert added == [histogram[w] for w in range(n + 1)]
@@ -378,7 +384,15 @@ def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
         assert min_weight(code).value == expected[1][0]
         assert weight_distribution(code) == expected
         lead = asymqec.weights._lead(code)
+        calls.clear()
         assert asymqec.weights._distribution_split(code, lead) == expected
+        # the split walks every orbit representative's fiber in one call
+        (starts, walk_rows, walked, added), *_ = calls
+        assert starts == list(asymqec.weights._orbit_representatives(n, q, lead))
+        words = walked_words(starts, walk_rows)
+        assert walked == len(words)
+        histogram = Counter(oracle.weight_q(w) for w in words)
+        assert added == [histogram[w] for w in range(n + 1)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
