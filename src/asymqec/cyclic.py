@@ -200,21 +200,28 @@ class CyclicCode:
     # -- parameters -----------------------------------------------------------
 
     def _polynomials(self) -> tuple[Polynomial, Polynomial]:
-        """(g, h): g the product over i in T of (x - alpha^i), from the coset
-        factors, and h = (x^n - 1) / g, from the division that checks g."""
+        """(g, h): g the product over i in T of (x - alpha^i) and h that over
+        the rest of Z_n. The side with fewer members (T on a tie) is the
+        product of its coset factors and the other is (x^n - 1) divided by
+        it, from the memoized exact division that checks it, so the codes T
+        and Z_n minus T share one division; deg g = |T| is checked either way."""
         if self._g is None:
-            g = Polynomial.one(self.field)
+            members = self.T.members
+            small_is_g = 2 * len(members) <= self.n
+            small = Polynomial.one(self.field)
             for coset, factor in factor_xn_minus_1(self.n, self.q):
-                if coset.representative in self.T.members:
-                    g = g * factor
-            if g.degree != len(self.T.members):
+                if (coset.representative in members) == small_is_g:
+                    small = small * factor
+            xn1 = Polynomial.monomial(self.field, self.n) - Polynomial.one(self.field)
+            large = xn1.exact_quotient(small)
+            if large is None:
+                side = "generator" if small_is_g else "parity"
+                raise InternalConsistencyError(f"{side} polynomial does not divide x^n - 1")
+            g, h = (small, large) if small_is_g else (large, small)
+            if g.degree != len(members):
                 raise InternalConsistencyError(
-                    f"generator degree {g.degree} != |T| = {len(self.T.members)}"
+                    f"generator degree {g.degree} != |T| = {len(members)}"
                 )
-            xn1 = Polynomial.monomial(g.field, self.n) - Polynomial.one(g.field)
-            h = xn1.exact_quotient(g)
-            if h is None:
-                raise InternalConsistencyError("generator polynomial does not divide x^n - 1")
             self._g, self._h = g, h
         return self._g, self._h
 

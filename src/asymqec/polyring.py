@@ -2,17 +2,18 @@
 
 Everything a defining set rests on lives here: the coset partition of Z_n
 under multiplication by q (built from the one orbit walker, `coset_of`), the
-one enumerator of coset unions (the defining sets, as residue bitmasks), the
-minimal polynomial of each coset (a product of Polynomials over the splitting
-field, mapped back to GF(q)), and the resulting complete factorisation of
-x^n - 1. All values are immutable and all operations pure; divisibility
-answers are memoized by value and dropped with the other derived caches.
+one enumerator of coset unions (the defining sets, as residue bitmasks), and
+the complete factorisation of x^n - 1, the one builder of the minimal
+polynomial of each coset (the product of its linear factors over the
+splitting field, mapped back to GF(q)). All values are immutable and all
+operations pure; divisibility answers and exact quotients are memoized by
+value and dropped with the other derived caches.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -197,15 +198,17 @@ class Polynomial(NamedTuple):
         return Polynomial(f, tuple(quot)), Polynomial(f, tuple(rem))
 
     def exact_quotient(self, divisor: Polynomial) -> Polynomial | None:
-        """self / divisor when the division is exact, else None. The answer
-        settles `divisor.divides(self)`, and an exact nonzero quotient
-        `quotient.divides(self)` too."""
+        """self / divisor when the division is exact, else None; memoized by
+        the two values. The answer settles `divisor.divides(self)`, and an
+        exact nonzero quotient `quotient.divides(self)` too."""
+        key = (divisor, self)
+        if key in _QUOTIENTS:
+            return _QUOTIENTS[key]
         quot, rem = self.div_rem(divisor)
-        exact = _DIVIDES[divisor, self] = rem.is_zero
-        if not exact:
-            return None
-        if not quot.is_zero:
+        exact = _DIVIDES[key] = rem.is_zero
+        if exact and not quot.is_zero:
             _DIVIDES[quot, self] = True
+        quot = _QUOTIENTS[key] = quot if exact else None
         return quot
 
     def __floordiv__(self, other: Polynomial) -> Polynomial:
@@ -288,6 +291,8 @@ class Polynomial(NamedTuple):
 
 #: (divisor, dividend) -> whether the division is exact
 _DIVIDES: dict[tuple[Polynomial, Polynomial], bool] = {}
+#: (divisor, dividend) -> the exact quotient, or None
+_QUOTIENTS: dict[tuple[Polynomial, Polynomial], Polynomial | None] = {}
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -419,58 +424,60 @@ def coset_of(n: int, q: int, s: int) -> CyclotomicCoset:
     return CyclotomicCoset(n, q, members[0], members)
 
 
-@lru_cache(maxsize=None)
 def minimal_polynomial(n: int, q: int, coset: CyclotomicCoset) -> Polynomial:
-    """The minimal polynomial over GF(q) of alpha^s for s in the coset.
-
-    Multiplies the (x - alpha^i) over the splitting field; each coefficient
-    must land in the embedded copy of GF(q) and is mapped back, anything else
-    is an internal-consistency failure rather than a silent truncation.
-    """
+    """The minimal polynomial over GF(q) of alpha^s for s in the coset: its
+    factor in `factor_xn_minus_1(n, q)`, once the coset is checked."""
     expected = coset_of(n, q, coset.representative)
     if coset.members != expected.members or coset.n != n or coset.q != q:
         raise ValueError(f"{coset} is not a cyclotomic coset mod {n} over GF({q})")
-    ext, alpha = nth_root_field(n, q)
-    base = field_of_size(q)
-    _, lift = subfield_embedding(base, ext)
-    factors = (Polynomial(ext, (ext.neg_i(ext.pow_i(alpha.value, i)), 1)) for i in coset.members)
-    prod = reduce(Polynomial.__mul__, factors)
-    try:
-        coeffs = [lift[c] for c in prod.coeffs]
-    except KeyError as exc:
-        raise InternalConsistencyError(
-            f"minimal polynomial coefficient {exc} of coset {coset} not in GF({q})"
-        ) from None
-    return Polynomial.from_coeffs(base, coeffs)
+    return dict(factor_xn_minus_1(n, q))[coset]
 
 
 @lru_cache(maxsize=None)
 def factor_xn_minus_1(n: int, q: int) -> tuple[tuple[CyclotomicCoset, Polynomial], ...]:
-    """Complete factorisation of x^n - 1 over GF(q), one factor per coset.
+    """Complete factorisation of x^n - 1 over GF(q), one minimal polynomial
+    per coset: the product of the (x - alpha^i), i in the coset.
 
-    The product of the returned factors is verified against x^n - 1; a
-    mismatch raises InternalConsistencyError.
+    The splitting field, alpha and the lift into GF(q) are set up once, and
+    each factor is multiplied in one pass over a coefficient list rather than
+    one `Polynomial` product per root, which pays a fixed cost d times per
+    coset. Every coefficient must land in the embedded copy of GF(q), and
+    the factors must multiply to x^n - 1; anything else raises
+    InternalConsistencyError rather than being silently truncated.
     """
-    check_length(n, q)
+    cosets = cyclotomic_cosets(n, q)
+    ext, alpha = nth_root_field(n, q)
     base = field_of_size(q)
-    factors = tuple(
-        (coset, minimal_polynomial(n, q, coset)) for coset in cyclotomic_cosets(n, q)
-    )
+    _, lift = subfield_embedding(base, ext)
+    add, mul = ext.add_i, ext.mul_i
+    factors = []
     product = Polynomial.one(base)
-    for _, f in factors:
-        product = product * f
-    target = Polynomial.monomial(base, n) - Polynomial.one(base)
-    if product != target:
+    for coset in cosets:
+        coeffs = [1]
+        for i in coset.members:
+            root = ext.neg_i(ext.pow_i(alpha.value, i))
+            coeffs.insert(0, 0)  # times x, plus -alpha^i times the old coefficients
+            for j in range(len(coeffs) - 1):
+                coeffs[j] = add(coeffs[j], mul(root, coeffs[j + 1]))
+        try:
+            factor = Polynomial(base, tuple(lift[c] for c in coeffs))
+        except KeyError as exc:
+            raise InternalConsistencyError(
+                f"minimal polynomial coefficient {exc} of coset {coset} not in GF({q})"
+            ) from None
+        factors.append((coset, factor))
+        product = product * factor
+    if product != Polynomial.monomial(base, n) - Polynomial.one(base):
         raise InternalConsistencyError(
             f"minimal polynomials of (n={n}, q={q}) do not multiply to x^{n} - 1"
         )
-    return factors
+    return tuple(factors)
 
 
 def _clear_caches() -> None:
     _DIVIDES.clear()
+    _QUOTIENTS.clear()
     cyclotomic_cosets.cache_clear()
-    minimal_polynomial.cache_clear()
     factor_xn_minus_1.cache_clear()
 
 

@@ -29,12 +29,14 @@ from asymqec.cyclic import (
     rs,
     zero_code,
 )
-from asymqec.galois import make_field
+from asymqec.errors import InternalConsistencyError
+from asymqec.galois import clear_modulus_overrides, field_of_size, make_field
 from asymqec.polyring import (
     Polynomial,
     coset_of,
     coset_unions,
     cyclotomic_cosets,
+    factor_xn_minus_1,
     mask_residues,
     parse_poly,
     render_poly,
@@ -279,6 +281,48 @@ def test_containment_criteria_consistency_all_pairs_n15():
     codes = all_cyclic_codes(15, 2)
     for c1, c2 in itertools.product(codes, repeat=2):
         contains(c1, c2)  # raises InternalConsistencyError on any disagreement
+
+
+@pytest.mark.parametrize(
+    "n,q", [(15, 2), (21, 2), (31, 2), (8, 3), (13, 3), (5, 4), (9, 4), (15, 4), (7, 8)]
+)
+def test_g_and_h_are_the_factor_products_of_t_and_of_its_complement(n, q):
+    # every size of T, so g is multiplied up for some codes and divided out for others
+    field = field_of_size(q)
+    factors = factor_xn_minus_1(n, q)
+    xn1 = Polynomial.monomial(field, n) - Polynomial.one(field)
+    for mask in coset_unions([coset for coset, _ in factors]):
+        code = from_defining_set(n, q, mask_residues(mask))
+        g = h = Polynomial.one(field)
+        for coset, factor in factors:
+            if mask >> coset.representative & 1:
+                g = g * factor
+            else:
+                h = h * factor
+        assert code.generator_polynomial == g
+        assert code.parity_polynomial == h
+        assert g * h == xn1
+        assert g.degree == len(code.T.members)
+
+
+@pytest.mark.parametrize("members", [
+    (1, 2, 4, 8),                                          # |T| <= n/2: g is multiplied up
+    tuple(s for s in range(15) if s not in (1, 2, 4, 8)),  # |T| > n/2: h is multiplied up
+])
+def test_a_corrupted_coset_factor_trips_the_polynomial_checks(monkeypatch, members):
+    clear_modulus_overrides()  # build the code afresh
+    factors = factor_xn_minus_1(15, 2)
+    field = factors[0][1].field
+    xn1 = Polynomial.monomial(field, 15) - Polynomial.one(field)
+    corrupted = tuple(
+        (coset, factor + Polynomial.monomial(field, 2) if coset.representative == 1 else factor)
+        for coset, factor in factors
+    )
+    assert not corrupted[1][1].divides(xn1)
+    monkeypatch.setattr(cyclic, "factor_xn_minus_1", lambda n, q: corrupted)
+    code = from_defining_set(15, 2, members)
+    with pytest.raises(InternalConsistencyError, match="does not divide"):
+        code.generator_polynomial
 
 
 def test_descriptor_round_trip():

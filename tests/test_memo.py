@@ -1,6 +1,6 @@
-"""Algebra facts computed once per job: divisibility answers, root sets of
-divisors of x^n - 1, the per-code k and designed bound, and each code's
-identity facts (its field and descriptor).
+"""Algebra facts computed once per job: divisibility answers, exact
+quotients, root sets of divisors of x^n - 1, the per-code k and designed
+bound, and each code's identity facts (its field and descriptor).
 
 The memos are keyed by polynomial values, never by code identity, and every
 check they feed is still made: a corrupted generator or parity polynomial
@@ -36,8 +36,9 @@ def cold():
     clear_modulus_overrides()
 
 
-def memo_sizes() -> tuple[int, int]:
-    return len(asymqec.polyring._DIVIDES), len(asymqec.cyclic._ROOTS_CACHE)
+def memo_sizes() -> tuple[int, int, int]:
+    polyring = asymqec.polyring
+    return len(polyring._DIVIDES), len(polyring._QUOTIENTS), len(asymqec.cyclic._ROOTS_CACHE)
 
 
 def test_clearing_the_modulus_table_empties_both_memos_and_overrides_move_root_sets():
@@ -45,20 +46,23 @@ def test_clearing_the_modulus_table_empties_both_memos_and_overrides_move_root_s
     f = parse_poly("x^3 + x + 1", f2)
     default = make_field(2, 3).modulus
     other = (1, 0, 1, 1) if default == (1, 1, 0, 1) else (1, 1, 0, 1)
-    extend_by_polynomial(full_space(7, 2), f, purity=False)  # one divisibility check, one root set
+    # one exact division, one divisibility check, one root set
+    extend_by_polynomial(full_space(7, 2), f, purity=False)
     before = divisor_roots(f, 7)
     assert all(memo_sizes())
     try:
         set_modulus_override(2, 3, other)
-        assert memo_sizes() == (0, 0)
+        assert memo_sizes() == (0, 0, 0)
         after = divisor_roots(f, 7)
         # alpha is now a root of the reciprocal modulus: f vanishes at its inverses
         assert after == frozenset((-s) % 7 for s in before) != before
         assert after == roots_of(f, 7)
         assert asymqec.cyclic._ROOTS_CACHE[f, 7] == after
+        full_space(7, 2).parity_polynomial
+        assert asymqec.polyring._QUOTIENTS
     finally:
         clear_modulus_overrides()
-    assert memo_sizes() == (0, 0)
+    assert memo_sizes() == (0, 0, 0)
     assert divisor_roots(f, 7) == before
 
 
@@ -91,6 +95,20 @@ def test_a_family_search_divides_each_pair_and_roots_each_divisor_once(monkeypat
     assert results
     assert divisions and max(divisions.values()) == 1
     assert root_sets and max(root_sets.values()) == 1
+
+
+@pytest.mark.parametrize("n,q,route", [(21, 2, "css"), (21, 2, "subsystem"), (8, 3, "css")])
+def test_family_searches_divide_each_pair_at_most_once(monkeypatch, n, q, route):
+    divisions = Counter()
+    div_rem = Polynomial.div_rem
+
+    def counted_div_rem(self, divisor):
+        divisions[divisor, self] += 1
+        return div_rem(self, divisor)
+
+    monkeypatch.setattr(Polynomial, "div_rem", counted_div_rem)
+    assert search(n, q, route)
+    assert divisions and max(divisions.values()) == 1
 
 
 def test_k_and_designed_bound_are_computed_once_per_code(monkeypatch):

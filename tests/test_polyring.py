@@ -9,6 +9,8 @@ from math import gcd
 import pytest
 
 import oracle
+from asymqec import polyring
+from asymqec.errors import InternalConsistencyError
 from asymqec.galois import FieldElement, field_of_size, make_field, nth_root_field, subfield_embedding
 from asymqec.polyring import (
     NEG_INF,
@@ -220,6 +222,25 @@ def test_minimal_polynomial_rejects_non_cosets():
     bogus = CyclotomicCoset(15, 2, 1, (1, 2, 3))
     with pytest.raises(ValueError):
         minimal_polynomial(15, 2, bogus)
+
+
+@pytest.mark.parametrize("n,q", PARTITION_CASES)
+def test_minimal_polynomial_is_the_stored_factor(n, q):
+    for coset, factor in factor_xn_minus_1(n, q):
+        assert minimal_polynomial(n, q, coset) is factor
+
+
+def test_a_coefficient_outside_the_lift_is_an_internal_error(monkeypatch):
+    def short_lift(base, ext):
+        embed, lift = subfield_embedding(base, ext)
+        return embed, {v: b for v, b in lift.items() if b != 2}
+
+    monkeypatch.setattr(polyring, "subfield_embedding", short_lift)
+    factor_xn_minus_1.cache_clear()
+    with pytest.raises(InternalConsistencyError, match=r"not in GF\(4\)"):
+        minimal_polynomial(15, 4, coset_of(15, 4, 1))
+    with pytest.raises(InternalConsistencyError, match=r"not in GF\(4\)"):
+        factor_xn_minus_1(15, 4)
 
 
 def test_factor_x7_minus_1():
