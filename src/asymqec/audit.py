@@ -9,8 +9,10 @@ subject to the nesting premise), the quantum code is derived, and the
 computed parameters are compared with the printed ones. The search builds
 only the unions whose size is the stated redundancy n - k, as sums of
 same-size cosets: row 9's C2 builds 6,435 of the 65,536 unions of its 16
-allowed cosets. Where the stated distance is beyond verification only the
-three best unions and their count are kept, not the whole ranked list.
+allowed cosets, and ranks them by consecutive-run bound `_LANES` at a time,
+one lane of a single int each. Where the stated distance is beyond
+verification only the three best unions and their count are kept, not the
+whole ranked list.
 
     REPRODUCED      n, k and both distances match exactly, distances exhaustive
     PARTIAL         n, k match; a distance is only available as a lower bound
@@ -22,18 +24,20 @@ Verdicts are deterministic across runs.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, islice, product, repeat
 from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .aqec import AqecParams, css_aqec
-from .cyclic import CyclicCode, bch, consecutive_run_bound_mask, from_defining_set
+from .cyclic import CyclicCode, bch, from_defining_set
 from .polyring import CyclotomicCoset, cyclotomic_cosets, mask_residues
 from .weights import DEFAULT_BUDGET, min_weight
 
 #: exhaustive distance verification of searched candidates is capped here
 _CANDIDATE_DISTANCE_CAP = 1 << 20
+
+#: candidate unions ranked together, one lane each, by `_best_candidates`
+_LANES = 128
 
 REPRODUCED = "REPRODUCED"
 PARTIAL = "PARTIAL"
@@ -135,24 +139,68 @@ def _candidate_sets(n: int, target: int, allowed: Sequence[CyclotomicCoset]) -> 
     for each choice of how many cosets to take of each size that adds up to
     `target`, the unions are sums of `combinations` within each size class.
     """
-    masks = sorted(chain.from_iterable(map(_unions, _union_blocks(target, allowed))))
-    masks.sort(key=partial(consecutive_run_bound_mask, n), reverse=True)
-    return masks
+    return _best_candidates(n, target, allowed)[1]
 
 
 def _best_candidates(n: int, target: int, allowed: Sequence[CyclotomicCoset],
-                     keep: int) -> tuple[int, list[int]]:
-    """(number of candidate sets, the first `keep` of `_candidate_sets`),
-    walking the unions one at a time instead of holding them all."""
-    # imported here: only rows past verification need it, and every command
-    # would otherwise pay for the import at start-up
-    from heapq import nsmallest
+                     keep: int | None = None) -> tuple[int, list[int]]:
+    """(number of candidate sets, the first `keep` of `_candidate_sets`, or
+    all of them when `keep` is None).
 
+    The unions are ranked `_LANES` at a time, each packed as one `width`-byte
+    lane of a single int: n residue bits and at least one zero guard bit
+    above them. One rotate-and-AND of the whole int takes every lane one step
+    further, as `consecutive_run_bound_mask` does for one mask, so a lane
+    still nonzero after r steps has bound at least r + 2. Adding all-ones
+    below each guard bit carries into the guard exactly in the nonzero lanes,
+    so the lanes' top bytes say which are alive. The lanes that die at one
+    step form a tier of equal bound; tiers are read from the top until `keep`
+    masks are held, and once `keep` are held, steps below the `keep`-th bound
+    are no longer kept.
+    """
     blocks = _union_blocks(target, allowed)
     count = sum(prod(comb(len(masks), take) for masks, take in block) for block in blocks)
-    best = nsmallest(keep, chain.from_iterable(map(_unions, blocks)),
-                     key=lambda mask: (-consecutive_run_bound_mask(n, mask), mask))
-    return count, best
+    keep = count if keep is None else keep
+    unions = chain.from_iterable(map(_unions, blocks))
+    width = n // 8 + 1
+    # the best `keep` so far, each as its sort key: (n + 1 - bound) above the mask's n bits
+    best: list[int] = []
+    for chunk in iter(lambda: list(islice(unions, _LANES)), []):
+        lanes = len(chunk)
+        unit = int.from_bytes(b"\1".ljust(width, b"\0") * lanes, "little")
+        guard = unit << (8 * width - 1)
+        hi, low = ((1 << n) - 2) * unit, guard - unit
+        floor = n + 1 - (best[-1] >> n) if best and len(best) >= keep else 1
+        # one entry per stored step, lowest first: a byte per lane, 0x80 where the
+        # lane is still nonzero; the leading all-alive entry stands for step -1,
+        # so the empty union, dead at step 0, gets bound 1
+        alive = [int.from_bytes(b"\x80" * lanes, "little")] if floor <= 1 else []
+        x = int.from_bytes(b"".join(map(int.to_bytes, chunk, repeat(width), repeat("little"))),
+                           "little")
+        step = 0
+        while True:
+            if step + 2 >= floor:
+                alive.append(int.from_bytes(
+                    ((x + low) & guard).to_bytes(lanes * width, "little")[width - 1::width],
+                    "little"))
+            # the full union never dies: its bound is n + 1
+            if not x or step == n - 1:
+                break
+            x &= ((x << 1) & hi) | ((x >> (n - 1)) & unit)
+            step += 1
+        bound, later, taken = step + 2, 0, 0
+        for now in reversed(alive):
+            tier = list(compress(chunk, (now ^ later).to_bytes(lanes, "little")))
+            best.extend(map(((n + 1 - bound) << n).__or__, tier))
+            taken += len(tier)
+            if taken >= keep:
+                break
+            bound, later = bound - 1, now
+        if len(best) >= keep:
+            best.sort()
+            del best[keep:]
+    best.sort()
+    return count, list(map(((1 << n) - 1).__and__, best))
 
 
 def _resolve_narrow_sense(n: int, q: int, k: int, d: int) -> CyclicCode | None:

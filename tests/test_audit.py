@@ -4,6 +4,7 @@ resolution are not swallowed."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,31 @@ def _cosets_avoiding_negated(c1):
                  if not set(coset.members) & forbidden)
 
 
+def _brute_force_rankings(n, allowed, targets):
+    """{target: the unions of that size, ranked by (-bound, mask)}; every target
+    (the empty and the full union too) when `targets` is None."""
+    if targets is not None:
+        # 2^16 frozensets would need hundreds of MB: filter every union's mask
+        # by size and rank it by (-bound, mask) instead
+        return {target: sorted((mask for mask in coset_unions(allowed)
+                                if mask.bit_count() == target),
+                               key=lambda mask: (-consecutive_run_bound_mask(n, mask), mask))
+                for target in targets}
+    unions = [
+        frozenset(s for coset, take in zip(allowed, flags) if take for s in coset.members)
+        for flags in itertools.product((False, True), repeat=len(allowed))
+    ]
+    rankings = {}
+    for target in range(n + 1):
+        ranked = sorted(
+            (members for members in unions if len(members) == target),
+            key=lambda members: (-consecutive_run_bound(n, members),
+                                 sum(1 << s for s in members)),
+        )
+        rankings[target] = [sum(1 << s for s in members) for members in ranked]
+    return rankings
+
+
 @pytest.mark.parametrize("n,q,picked,targets", [
     pytest.param(15, 2, None, None, id="15-2-None"),
     pytest.param(21, 2, None, None, id="21-2-None"),
@@ -28,35 +54,39 @@ def _cosets_avoiding_negated(c1):
     pytest.param(13, 3, (1, 2, 3, 4), None, id="13-3-picked4"),
     # coset sizes 1, 2, 3 and 6: several count vectors reach most targets
     pytest.param(63, 2, None, None, id="63-2-None"),
-    # row 9's C2 search: the 16 cosets avoiding -T(bch(127, 2, 7)), sizes 1 and 7
+    # row 9's C2 search: the 16 cosets avoiding -T(bch(127, 2, 7)), sizes 1 and 7;
+    # target 0 is the empty union alone, target 127 has no union
     pytest.param(127, 2, _cosets_avoiding_negated(bch(127, 2, 7)),
-                 (0, 1, 2, 7, 49, 50, 51, 113), id="127-2-row9"),
+                 (0, 1, 2, 7, 49, 50, 51, 113, 127), id="127-2-row9"),
 ])
-def test_candidate_sets_against_brute_force(n, q, picked, targets):
+def test_candidate_sets_against_brute_force(monkeypatch, n, q, picked, targets):
     cosets = cyclotomic_cosets(n, q)
     allowed = cosets if picked is None else [cosets[i] for i in picked]
-    if targets is not None:
-        # 2^16 frozensets would need hundreds of MB: filter every union's mask
-        # by size and rank it by (-bound, mask) instead
-        for target in targets:
-            masks = [mask for mask in coset_unions(allowed) if mask.bit_count() == target]
-            expected = sorted(masks, key=lambda mask: (-consecutive_run_bound_mask(n, mask), mask))
+    rankings = _brute_force_rankings(n, allowed, targets)
+    # chunks of 1, 2, 3 and 7 lanes too: every union alone, last chunks cut
+    # short, and the kept bound carried from chunk to chunk
+    for lanes in (audit_module._LANES, 1, 2, 3, 7):
+        monkeypatch.setattr(audit_module, "_LANES", lanes)
+        for target, expected in rankings.items():
+            count = len(expected)
             assert _candidate_sets(n, target, allowed) == expected
-            assert _best_candidates(n, target, allowed, 3) == (len(expected), expected[:3])
-        return
-    unions = [
-        frozenset(s for coset, take in zip(allowed, flags) if take for s in coset.members)
-        for flags in itertools.product((False, True), repeat=len(allowed))
-    ]
-    for target in range(n + 1):
-        ranked = sorted(
-            (members for members in unions if len(members) == target),
-            key=lambda members: (-consecutive_run_bound(n, members),
-                                 sum(1 << s for s in members)),
-        )
-        expected = [sum(1 << s for s in members) for members in ranked]
-        assert _candidate_sets(n, target, allowed) == expected
-        assert _best_candidates(n, target, allowed, 3) == (len(expected), expected[:3])
+            for keep in (1, 3, count + 2):
+                assert _best_candidates(n, target, allowed, keep) == (count, expected[:keep])
+
+
+def test_row9_ranking_traced_peak_stays_small():
+    """Ranking row 9's 6,435 C2 candidates holds one chunk of lanes at a time,
+    not every union in one int (about 1.7 MB traced)."""
+    cosets = cyclotomic_cosets(127, 2)
+    allowed = [cosets[i] for i in _cosets_avoiding_negated(bch(127, 2, 7))]
+    tracemalloc.start()
+    try:
+        count, best = _best_candidates(127, 50, allowed, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (count, len(best)) == (6435, 3)
+    assert peak < 128 * 1024
 
 
 def test_audit_row_propagates_construction_errors(monkeypatch):

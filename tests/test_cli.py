@@ -232,7 +232,7 @@ def test_table1_csv(capsys):
     assert [r["verdict"] for r in rows] == ["REPRODUCED", "NOT-REPRODUCED"]
 
 
-def test_table1_verdicts_stable_across_runs_and_workers(capsys):
+def test_table1_verdicts_stable_across_runs(capsys):
     _, first, _ = run(["table1", "--rows", "1,2,3", "--format", "json"], capsys)
     _, second, _ = run(["table1", "--rows", "1,2,3", "--format", "json"], capsys)
     assert first == second

@@ -256,7 +256,7 @@ def test_symplectic_weight():
         symplectic_weight((1,), (1, 0))
 
 
-def test_worker_determinism_31_16_7():
+def test_min_weight_repeatable_after_cache_reset_31_16_7():
     code = bch(31, 2, 7)
     fresh()
     first = min_weight(code)
@@ -266,7 +266,7 @@ def test_worker_determinism_31_16_7():
     assert first.value == 7
 
 
-def test_worker_determinism_difference():
+def test_min_weight_difference_repeatable_after_cache_reset():
     outer, inner = bch(31, 2, 5), bch(31, 2, 7).dual()
     fresh()
     first = min_weight_difference(outer, inner)
