@@ -21,6 +21,7 @@ propagating a wrong parameter.
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _str
 from typing import NamedTuple, Sequence
 
 from .cyclic import (
@@ -46,6 +47,9 @@ from .weights import (
 #: purity is evaluated by default only up to this length (extra enumerations)
 PURITY_AUTO_LIMIT = 31
 
+#: JSON text of an int, as json.dumps writes it
+_int = int.__repr__
+
 
 def _render_pair(dz: WeightReport, dx: WeightReport) -> str:
     return f"{dz.render()}/{dx.render()}"
@@ -68,6 +72,25 @@ def _params_dict(p: AqecParams | SubsystemParams, r: int | None = None) -> dict:
     if p.notes:
         out["notes"] = list(p.notes)
     return out
+
+
+def _params_json(p: AqecParams | SubsystemParams, pad: str = "") -> str:
+    """json.dumps(p.as_dict(), indent=2), each line after the first indented
+    by `pad`, written straight from the fields in _params_dict's key order."""
+    i = pad + "  "
+    j = i + "  "
+    dz, dx = p.dz, p.dx
+    r = f'\n{i}"r": {_int(p.r)},' if isinstance(p, SubsystemParams) else ""
+    text = (f'{{\n{i}"n": {_int(p.n)},\n{i}"q": {_int(p.q)},\n{i}"k": {_int(p.k)},{r}'
+            f'\n{i}"dz": {{\n{j}"value": {_int(dz.value)},\n{j}"method": {_str(dz.method)}\n{i}}},'
+            f'\n{i}"dx": {{\n{j}"value": {_int(dx.value)},\n{j}"method": {_str(dx.method)}\n{i}}},'
+            f'\n{i}"c1": {_str(p.c1.descriptor())},\n{i}"c2": {_str(p.c2.descriptor())},'
+            f'\n{i}"route": {_str(p.route)}')
+    if p.pure is not None:
+        text += f',\n{i}"pure": {"true" if p.pure else "false"}'
+    if p.notes:
+        text += f',\n{i}"notes": [\n{j}' + f",\n{j}".join(map(_str, p.notes)) + f"\n{i}]"
+    return text + f"\n{pad}}}"
 
 
 class AqecParams(NamedTuple):
@@ -193,8 +216,13 @@ def css_aqec(c1: CyclicCode, c2: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     then ordered by (value, bound-only last) and dz is a bound unless both
     sides are exact, so dz >= dx and an exact dx is the true minimum. The
     symmetric stabilizer corollary [[n, k, dx]] is noted when dx is exact.
-    Purity is evaluated by default only for n <= 31.
+    Purity is evaluated by default only for n <= 31. A zero C1 or C2 (no
+    nonzero codewords, so no distance) raises ValueError.
     """
+    if c1.k == 0 or c2.k == 0:
+        name, zero = ("C1", c1) if c1.k == 0 else ("C2", c2)
+        raise ValueError(f"{name} = {zero.descriptor()} is the zero code; the css "
+                         f"route needs C1 and C2 to have nonzero codewords")
     k, dz, dx, pure = _css(c1, c2, budget, purity)
     n, q = c1.n, c1.q
     notes = ()
@@ -298,6 +326,9 @@ def extend_by_defining_set(c1: CyclicCode, members: Sequence[int],
             f"{{{','.join(map(str, sorted(allowed)))}}}"
         )
     tt = T.members | T.inverse().members
+    if not tt and c1.k == n:
+        raise ValueError(f"C1 = {c1.descriptor()} is the full space and T is empty, so C2 "
+                         f"would be the zero code; the extend-set route needs a nonempty T here")
     c2 = from_defining_set(n, q, c1perp.T.members - tt)
     c2perp = c2.dual()
     if c2perp.T.members != (c1.T.members | tt):
@@ -346,9 +377,13 @@ def subsystem_euclidean(c1: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     The distances and purity are those of the CSS pair (C2-dual, C1-dual),
     nested because C1 lies in C2-dual: its sides are wt(C2-dual minus C1)
     and wt(C1-dual minus C2), ordered by the css_aqec rule, and its logical
-    dimension is n-(k1+k2).
+    dimension is n-(k1+k2). C1 must not be the full space, whose dual is the
+    zero code.
     """
     n, q = c1.n, c1.q
+    if c1.k == n:
+        raise ValueError(f"C1 = {c1.descriptor()} is the full space, so C1-dual is the "
+                         f"zero code; the subsystem route needs C1 smaller than the space")
     c1perp = c1.dual()
     c2 = intersect(c1, c1perp)
     k1, k2 = c1.k, c2.k

@@ -8,9 +8,11 @@
     asymqec search --n 15 --q 2 --route css
 
 Output format is text (default), json or csv via --format. JSON is the
-bytes of json.dumps(document, indent=2) plus a newline; list-valued output
-(search, table1, derive subsystem) in every format is written one record at
-a time, each rendered as it is written. Exit codes:
+bytes of json.dumps(document, indent=2) plus a newline: derived-code records
+are written from their fields by aqec._params_json, other payloads by the
+generic walker _dumps_indented. List-valued output (search, table1, derive
+subsystem) in every format is written one record at a time, each rendered
+as it is written. Exit codes:
 0 success, 2 precondition or parse error, 3 budget exceeded without a
 fallback, 4 internal consistency failure. The modulus override table is
 read from the file named by ASYMQEC_MODULUS_TABLE.
@@ -29,6 +31,7 @@ from typing import Iterable, Sequence
 from .aqec import (
     AqecParams,
     SubsystemParams,
+    _params_json,
     correction_capability,
     css_aqec,
     extend_by_defining_set,
@@ -88,8 +91,9 @@ def _dumps_indented(value, pad: str = "") -> str:
     return json.dumps(value)
 
 
-def _emit_json(payload) -> None:
-    """Write json.dumps(payload, indent=2) and a newline: a dict in one write,
+def _emit_json(payload, render=_dumps_indented) -> None:
+    """Write the indent-2 JSON of payload and a newline, render(value, pad)
+    making each value's text: a dict or a record (any tuple) in one write,
     any other iterable as an array written one element at a time.
 
     Each element is rendered when it is written, so a list-valued command
@@ -97,12 +101,12 @@ def _emit_json(payload) -> None:
     element, since json.dump with an indent writes every token separately.
     """
     write = sys.stdout.write
-    if isinstance(payload, dict):
-        write(_dumps_indented(payload) + "\n")
+    if isinstance(payload, (dict, tuple)):
+        write(render(payload) + "\n")
         return
     head = "[\n  "
     for record in payload:
-        write(head + _dumps_indented(record, "  "))
+        write(head + render(record, "  "))
         head = ",\n  "
     write("[]\n" if head == "[\n  " else "\n]\n")
 
@@ -255,8 +259,7 @@ def _cmd_derive(args) -> int:
     if _exact_violated(args, results):
         return EXIT_BUDGET
     if args.format == "json":
-        _emit_json(results[0].as_dict() if len(results) == 1
-                   else (p.as_dict() for p in results))
+        _emit_json(results[0] if len(results) == 1 else results, _params_json)
     elif args.format == "csv":
         _emit_csv(map(_params_flat, results), _PARAMS_FIELDS)
     else:
@@ -314,7 +317,7 @@ def _cmd_search(args) -> int:
     results = search(args.n, args.q, args.route, args.budget,
                      max_results=args.max_results, max_codes=args.max_space)
     if args.format == "json":
-        _emit_json(p.as_dict() for p in results)
+        _emit_json(results, _params_json)
     elif args.format == "csv":
         _emit_csv(map(_params_flat, results), _PARAMS_FIELDS)
     else:

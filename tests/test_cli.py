@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from asymqec import cli
-from asymqec.aqec import subsystem_euclidean
+from asymqec.aqec import extend_by_defining_set, extend_by_polynomial, subsystem_euclidean
 from asymqec.audit import audit_rows
-from asymqec.cyclic import parse_code
+from asymqec.cyclic import parse_code, parse_residue_set
 from asymqec.galois import clear_modulus_overrides
 from asymqec.search import search
 from asymqec.weights import DEFAULT_BUDGET
@@ -171,6 +171,27 @@ def test_derive_not_nested_exit_2(capsys):
     assert "not contained" in err
 
 
+FULL, ZERO = "q=2 n=7 T={}", "q=2 n=7 T={0,1,2,3,4,5,6}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["derive", "css", "--c1", FULL, "--c2", ZERO],
+     f"error: C2 = {ZERO} is the zero code; the css route needs C1 and C2"),
+    (["derive", "css", "--c1", ZERO, "--c2", FULL],
+     f"error: C1 = {ZERO} is the zero code; the css route needs C1 and C2"),
+    (["derive", "subsystem", "--c1", FULL],
+     f"error: C1 = {FULL} is the full space, so C1-dual is the zero code; "
+     "the subsystem route needs C1 smaller"),
+    (["derive", "extend-set", "--c1", FULL, "--T", "{}"],
+     f"error: C1 = {FULL} is the full space and T is empty, so C2 would be the zero code"),
+])
+def test_derive_with_a_zero_code_names_the_input_exit_2(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_derive_exact_exit_3(capsys):
     code, _, err = run(["derive", "css", "--c1", "bch:n=127,q=2,delta=5",
                         "--c2", "bch:n=127,q=2,delta=15", "--exact"], capsys)
@@ -313,6 +334,7 @@ LIST_CASES = [
     ["search", "--n", "15", "--q", "2", "--route", route]
     for route in ("css", "extend-poly", "extend-set", "subsystem")
 ] + [
+    ["search", "--n", "21", "--q", "2", "--route", "subsystem"],
     ["search", "--n", "8", "--q", "3", "--route", "subsystem"],
     ["search", "--n", "9", "--q", "4", "--route", "extend-set"],
     ["derive", "subsystem", "--c1", "bch:n=15,q=2,delta=5"],
@@ -340,6 +362,25 @@ def test_list_output_is_the_bytes_of_the_list_built_document(argv, capsys):
         code, out, err = run(argv + ["--format", fmt], capsys)
         assert code == 0, err
         assert out == expected, fmt
+
+
+SINGLE_CASES = [
+    ["derive", "extend-poly", "--c1", "bch:n=15,q=2,delta=3", "--f", "minpoly:3"],
+    ["derive", "extend-set", "--c1", "bch:n=15,q=2,delta=3", "--T", "{5,10}"],
+]
+
+
+@pytest.mark.parametrize("argv", SINGLE_CASES, ids=[" ".join(a) for a in SINGLE_CASES])
+def test_single_record_json_is_the_bytes_of_its_as_dict(argv, capsys):
+    c1 = parse_code(argv[3])
+    if argv[1] == "extend-poly":
+        params = extend_by_polynomial(c1, cli._parse_f(argv[5], c1))[1]
+    else:
+        params = extend_by_defining_set(c1, parse_residue_set(argv[5]))[1]
+    clear_modulus_overrides()
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert code == 0, err
+    assert out == json.dumps(params.as_dict(), indent=2) + "\n"
 
 
 def test_unknown_command_exit_2(capsys):

@@ -1,8 +1,10 @@
-"""The CLI's JSON writer: the bytes of json.dumps(payload, indent=2).
+"""The CLI's JSON writers: the bytes of json.dumps(payload, indent=2).
 
 A seeded property test compares `cli._dumps_indented` with the stdlib on
-built payloads, and every JSON command's stdout must equal the stdlib's
-indent-2 rendering of its own parsed output.
+built payloads; `aqec._params_json` must give the stdlib's rendering of
+`as_dict()` for every search record and for edited records; and every JSON
+command's stdout must equal the stdlib's indent-2 rendering of its own
+parsed output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from enum import IntEnum
 import pytest
 
 from asymqec import cli
+from asymqec.aqec import _params_json
 from asymqec.galois import clear_modulus_overrides
+from asymqec.search import ROUTES, search
+from asymqec.weights import WeightReport
 
 #: characters the escaper must handle: quote, backslash, controls, non-ASCII,
 #: astral and lone-surrogate code points
@@ -90,6 +95,50 @@ def test_writer_matches_the_stdlib_on_edge_cases(payload):
 def test_writer_rejects_non_str_keys(payload):
     with pytest.raises(TypeError):
         cli._dumps_indented(payload)
+
+
+def _as_dict_text(p, pad: str) -> str:
+    """json.dumps(p.as_dict(), indent=2) with every line after the first indented by pad."""
+    return json.dumps(p.as_dict(), indent=2).replace("\n", "\n" + pad)
+
+
+SEARCHES = [(n, q, route) for n, q in ((15, 2), (21, 2), (8, 3), (9, 4), (5, 4))
+            for route in ROUTES] + [(7, 8, "subsystem")]
+
+
+@pytest.mark.parametrize("n,q,route", SEARCHES, ids=[f"n{n}-q{q}-{r}" for n, q, r in SEARCHES])
+def test_record_writer_matches_as_dict_on_search_records(n, q, route):
+    records = search(n, q, route)
+    assert records
+    for p in records:
+        for pad in ("", "  "):
+            assert _params_json(p, pad) == _as_dict_text(p, pad)
+
+
+def _edited_records():
+    """Records with each optional key present and absent, every method and
+    notes the escaper must handle."""
+    note = 'say "hi" \\ then\nGF(2\u2074) \u220b \u03b1, \U0001d53d'
+    bound = WeightReport(5, "bound-only", 0, 10)
+    exact = WeightReport(3, "macwilliams", 64, 2**28)
+    css, subsystem = search(15, 2, "css")[0], search(15, 2, "subsystem")[0]
+    for p in (css, subsystem):
+        for pure in (None, False, True):
+            yield p._replace(pure=pure)
+        for notes in ((), (note,), ("", note, "second")):
+            yield p._replace(notes=notes)
+        yield p._replace(dz=bound, dx=exact, pure=None, notes=())
+        yield p._replace(dz=exact, dx=bound)
+    yield subsystem._replace(r=0)
+
+
+@pytest.mark.parametrize("pad", ["", "  "])
+def test_record_writer_matches_as_dict_on_edited_records(pad):
+    records = list(_edited_records())
+    assert {p.pure for p in records} == {None, False, True}
+    assert records[-1].r == 0
+    for p in records:
+        assert _params_json(p, pad) == _as_dict_text(p, pad)
 
 
 ROUND_TRIP_ARGV = [
