@@ -181,7 +181,7 @@ class CyclicCode:
     """A cyclic [n, k] code over GF(q) with defining set T."""
 
     __slots__ = ("n", "q", "T", "field", "k", "designed_distance_bound", "_g", "_h", "_dual",
-                 "_descriptor")
+                 "_descriptor", "_hash")
 
     def __init__(self, T: DefiningSet):
         self.n = T.n
@@ -196,6 +196,8 @@ class CyclicCode:
         self._h: Polynomial | None = None
         self._dual: CyclicCode | None = None
         self._descriptor: str | None = None
+        # codes are immutable and looked up in caches on every call: hash once
+        self._hash = hash((self.n, self.q, T.members))
 
     # -- parameters -----------------------------------------------------------
 
@@ -317,7 +319,7 @@ class CyclicCode:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.q, self.T.members))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"CyclicCode({self.descriptor()})"

@@ -7,7 +7,9 @@ the complete factorisation of x^n - 1, the one builder of the minimal
 polynomial of each coset (the product of its linear factors over the
 splitting field, mapped back to GF(q)). All values are immutable and all
 operations pure; divisibility answers and exact quotients are memoized by
-value and dropped with the other derived caches.
+value and dropped with the other derived caches. Over prime fields products
+are one integer product of the packed coefficients (Kronecker substitution),
+and over GF(2) division is shift-and-XOR on packed coefficients.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ NEG_INF = float("-inf")
 class Polynomial(NamedTuple):
     """Polynomial over a Field; coefficients ascending, no trailing zeros.
 
-    Products, division and embedded evaluation add inline where the field
-    allows: integers reduced mod p over a prime field, XOR with the log and
-    antilog tables over GF(2^m); other fields go through the Field methods.
+    Over a prime field a product packs each coefficient tuple as byte lanes
+    of one int and multiplies once (`_kronecker`); over GF(2) division holds
+    dividend and divisor as one-byte lanes and cancels each leading term with
+    one shifted XOR, odd p divides with integers reduced mod p. Over GF(2^m)
+    products and division XOR through the log and antilog tables; other
+    fields go through the Field methods.
     """
 
     field: Field
@@ -121,15 +126,10 @@ class Polynomial(NamedTuple):
         f = self.field
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(f)
+        if f.m == 1:
+            return Polynomial(f, _kronecker(self.coeffs, other.coeffs, f.p))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        if f.m == 1:  # integers mod p, reduced once at the end
-            terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in terms:
-                        out[i + j] += a * b
-            out = [c % f.p for c in out]
-        elif f.p == 2 and f._log is not None:  # sums are XOR, products two lookups
+        if f.p == 2 and f._log is not None:  # sums are XOR, products two lookups
             exp, log = f._exp, f._log
             terms = [(j, log[b]) for j, b in enumerate(other.coeffs) if b]
             for i, a in enumerate(self.coeffs):
@@ -157,8 +157,18 @@ class Polynomial(NamedTuple):
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         f = self.field
-        rem = list(self.coeffs)
         db = len(divisor.coeffs) - 1
+        if f.q == 2:  # one-byte lanes: each quotient term is one shifted XOR
+            rem = int.from_bytes(bytes(self.coeffs), "little")
+            div = int.from_bytes(bytes(divisor.coeffs), "little")
+            quot, top = 0, 8 * db
+            while rem.bit_length() > top:
+                shift = (rem.bit_length() - 1 - top) & ~7
+                rem ^= div << shift
+                quot |= 1 << shift
+            return (Polynomial(f, tuple(quot.to_bytes(max(0, len(self.coeffs) - db), "little"))),
+                    Polynomial(f, tuple(rem.to_bytes(db, "little").rstrip(b"\0"))))
+        rem = list(self.coeffs)
         inv_lead = f.inv_i(divisor.leading)
         quot = [0] * max(0, len(rem) - db)
         shifts = range(len(rem) - 1 - db, -1, -1)
@@ -293,6 +303,27 @@ class Polynomial(NamedTuple):
 _DIVIDES: dict[tuple[Polynomial, Polynomial], bool] = {}
 #: (divisor, dividend) -> the exact quotient, or None
 _QUOTIENTS: dict[tuple[Polynomial, Polynomial], Polynomial | None] = {}
+
+
+@lru_cache(maxsize=None)
+def _residues(p: int) -> bytes:
+    """The byte table i -> i mod p, for `bytes.translate`."""
+    return bytes(i % p for i in range(256))
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The product of two nonzero coefficient tuples over GF(p): each packed as
+    w-byte lanes of one int, multiplied once, each lane read back mod p. No
+    lane of the integer product exceeds min(len a, len b) * (p - 1)^2, and w
+    is the bytes of that bound, so no lane carries into the next."""
+    size = len(a) + len(b) - 1
+    w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    if w == 1:
+        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        return tuple(prod.to_bytes(size, "little").translate(_residues(p)))
+    x, y = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in t), "little") for t in (a, b))
+    raw = (x * y).to_bytes(size * w, "little")
+    return tuple(int.from_bytes(raw[i:i + w], "little") % p for i in range(0, size * w, w))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

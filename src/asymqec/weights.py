@@ -47,6 +47,7 @@ is the minimum weight of the full outer code, and that is what is reported.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -136,11 +137,24 @@ def _adder(n: int, p: int, m: int) -> Callable[[int, int], int]:
     return add
 
 
+@lru_cache(maxsize=None)
+def _digit_table(p: int, c: int) -> bytes:
+    """The byte table x -> ASCII digit for digit c of x in base p, for `bytes.translate`."""
+    return bytes(b"0123456789abcdefghijklmnopqrstuv"[x // p**c % p] for x in range(256))
+
+
 def _pack(n: int, field: galois.Field, word: Iterable[int]) -> int:
-    """The planes of a word over GF(p^m)."""
+    """The planes of a word over GF(p^m). Where coordinates fit a byte
+    (q <= 256) and a lane is one digit of an `int` base (2^W <= 32, so
+    p <= 13), plane c is the word's bytes, last coordinate first, translated
+    to the ASCII digits of digit c and read by one int(s, 2^W)."""
     p, width = field.p, _lane_bits(field.p)
-    return sum(x // p**c % p << (c * n + j) * width
-               for j, x in enumerate(word) for c in range(field.m))
+    if field.q > 256 or width > 5:
+        return sum(x // p**c % p << (c * n + j) * width
+                   for j, x in enumerate(word) for c in range(field.m))
+    raw = bytes(word)[::-1]
+    return sum(int(raw.translate(_digit_table(p, c)) or b"0", 1 << width) << c * n * width
+               for c in range(field.m))
 
 
 def _plane_rows(code: CyclicCode) -> list[int]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import oracle
 from asymqec import cyclic
 from asymqec.cyclic import (
+    CyclicCode,
     DefiningSet,
     bch,
     code_sum,
@@ -323,6 +326,20 @@ def test_a_corrupted_coset_factor_trips_the_polynomial_checks(monkeypatch, membe
     code = from_defining_set(15, 2, members)
     with pytest.raises(InternalConsistencyError, match="does not divide"):
         code.generator_polynomial
+
+
+@pytest.mark.parametrize("n,q,members", [(15, 2, (1, 2, 4, 8)), (8, 3, (1, 3)), (9, 4, ()),
+                                         (7, 8, tuple(range(7)))])
+def test_codes_hash_by_value_through_copies_and_pickles(n, q, members):
+    code = from_defining_set(n, q, members)
+    clear_modulus_overrides()  # a second, separately built code of the same value
+    twin = from_defining_set(n, q, members)
+    assert twin is not code
+    for other in (twin, CyclicCode(code.T), copy.copy(code), copy.deepcopy(code),
+                  pickle.loads(pickle.dumps(code))):
+        assert other == code
+        assert hash(other) == hash(code) == hash((n, q, frozenset(members)))
+        assert {other: 1}[code] == 1
 
 
 def test_descriptor_round_trip():

@@ -86,15 +86,47 @@ def test_div_rem_round_trip_random(field, seed):
 # GF(9) has odd characteristic and m > 1, so it runs the field-call loops
 ORACLE_FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(5),
                  make_field(2, 3), make_field(3, 2)]
+# products over GF(7) and GF(13) need two-byte lanes from 8 and 2 coefficients
+# on, over GF(17) from one
+LANE_EDGE_FIELDS = [make_field(7), make_field(13), make_field(17)]
 
 
 def random_poly(rng, field, length):
     return Polynomial.from_coeffs(field, [rng.randrange(field.q) for _ in range(length)])
 
 
-@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def check_div_rem(a, d):
+    quot, rem = a.div_rem(d)
+    assert [list(quot.coeffs), list(rem.coeffs)] == list(
+        oracle.poly_div_rem(a.coeffs, d.coeffs, a.field))
+    assert quot * d + rem == a
+    assert rem.degree < d.degree
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS + LANE_EDGE_FIELDS, ids=repr)
 def test_div_rem_and_mul_match_the_schoolbook_oracle(field):
     rng = random.Random(field.q)
+    top = field.q - 1
+    if field.m == 1:
+        # a product lane sums up to min(len a, len b) * (p - 1)^2, reached by
+        # all-top factors: lengths around the first needing two-byte lanes
+        edge = -(-256 // top**2)
+        for la, lb in [(length, length) for length in (edge - 1, edge, edge + 1) if length] + [
+                (3, 600), (edge, 3 * edge + 1)]:
+            for a, b in [(Polynomial(field, (top,) * la), Polynomial(field, (top,) * lb)),
+                         (random_poly(rng, field, la - 1) + Polynomial.monomial(field, la - 1),
+                          random_poly(rng, field, lb))]:
+                assert list((a * b).coeffs) == oracle.poly_mul(a.coeffs, b.coeffs, field)
+                assert list((b * a).coeffs) == oracle.poly_mul(b.coeffs, a.coeffs, field)
+                if not b.is_zero:
+                    check_div_rem(a * b + random_poly(rng, field, lb - 1), b)
+                    check_div_rem(random_poly(rng, field, 2 * la + lb), b)
+    for d in [Polynomial.monomial(field, 0, c) for c in range(1, field.q)] + [
+            random_poly(rng, field, 9) + Polynomial.monomial(field, 9)]:
+        for a in (Polynomial.zero(field), random_poly(rng, field, len(d.coeffs) - 1),
+                  random_poly(rng, field, 40)):
+            check_div_rem(a, d)
+        assert Polynomial.zero(field).div_rem(d) == (Polynomial.zero(field),) * 2
     for _ in range(1500):
         d = random_poly(rng, field, rng.randrange(1, 7))
         if d.is_zero:
@@ -104,11 +136,7 @@ def test_div_rem_and_mul_match_the_schoolbook_oracle(field):
         c = random_poly(rng, field, rng.randrange(8))
         shorter = random_poly(rng, field, rng.randrange(len(d.coeffs)))
         for a in (random_poly(rng, field, rng.randrange(12)), c * d, shorter):
-            quot, rem = a.div_rem(d)
-            assert [list(quot.coeffs), list(rem.coeffs)] == list(
-                oracle.poly_div_rem(a.coeffs, d.coeffs, field))
-            assert quot * d + rem == a
-            assert rem.degree < d.degree
+            check_div_rem(a, d)
         assert (c * d).div_rem(d) == (c, Polynomial.zero(field))
         assert shorter.div_rem(d) == (Polynomial.zero(field), shorter)
         assert list((c * d).coeffs) == oracle.poly_mul(c.coeffs, d.coeffs, field)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from collections import Counter
 
@@ -10,6 +11,7 @@ import pytest
 
 import oracle
 import asymqec.weights
+from test_polyring import ORACLE_FIELDS
 from asymqec.cyclic import (
     bch,
     from_defining_set,
@@ -411,6 +413,23 @@ def test_lane_addition_at_its_boundary(p, m):
             y = asymqec.weights._pack(n, field, [top, b, top])
             assert oracle.unpack_planes(add(x, y), n, field, width) == (
                 corner, field.add_i(a, b), corner), (a, b)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS + [
+    make_field(2, 4), make_field(2, 5), make_field(3, 3), make_field(5, 2), make_field(13),
+    make_field(17), make_field(2, 9),  # the last two: a lane too wide for int(), q > 256
+], ids=repr)
+@pytest.mark.parametrize("n", [1, 7, 64, 255])
+def test_pack_matches_the_digit_expression(field, n):
+    p, width = field.p, asymqec.weights._lane_bits(field.p)
+    rng = random.Random(n * field.q)
+    words = [[field.q - 1] * n, [0] * n] + [[rng.randrange(field.q) for _ in range(n)]
+                                          for _ in range(20)]
+    for word in words + [word[:n // 2] for word in words]:  # a generator's g is shorter than n
+        expected = sum(x // p**c % p << (c * n + j) * width
+                       for j, x in enumerate(word) for c in range(field.m))
+        assert asymqec.weights._pack(n, field, word) == expected
+        assert asymqec.weights._pack(n, field, iter(word)) == expected
 
 
 def test_split_of_a_large_odd_lead_ideal():
