@@ -4,7 +4,8 @@ A code is the triple (n, q, T) with T a union of cyclotomic cosets; the
 generator polynomial is derived from T and cached, never authoritative, so
 the set calculus (intersection = union of defining sets, sum = intersection,
 dual = complement of the negated set, containment = reverse inclusion) is
-exact and cheap, and the polynomial routes cross-check it.
+exact and cheap, and the polynomial routes cross-check it. Codes are
+interned by (n, q, T); a frozenset T is looked up before it is normalized.
 
 Also here: BCH / Reed-Solomon / Hamming constructors, generator and parity
 check matrices, encoding, the one root test (`roots_of`, which membership
@@ -273,9 +274,10 @@ class CyclicCode:
         parity divisibility) are evaluated and must agree.
         """
         self.T.check_matching(other.T)
+        (g1, h1), (g2, h2) = self._polynomials(), other._polynomials()
         by_sets = self.T.members <= other.T.members
-        by_generator = self.generator_polynomial.divides(other.generator_polynomial)
-        by_parity = other.parity_polynomial.divides(self.parity_polynomial)
+        by_generator = g1.divides(g2)
+        by_parity = h2.divides(h1)
         if not (by_sets == by_generator == by_parity):
             raise InternalConsistencyError(
                 f"containment criteria disagree for T1={self.T}, T2={other.T}: "
@@ -334,12 +336,15 @@ _CODE_CACHE: dict[tuple[int, int, frozenset[int]], CyclicCode] = {}
 
 def from_defining_set(n: int, q: int, members: Iterable[int]) -> CyclicCode:
     """The cyclic code with the given coset-closed defining set, validated on first use."""
-    # n < 1 is never interned: DefiningSet.closed rejects it below
-    mset = frozenset(int(s) % n for s in members) if n > 0 else frozenset()
-    key = (n, q, mset)
-    code = _CODE_CACHE.get(key)
+    # a frozenset is looked up as given: only an equal, already validated key can hit
+    code = _CODE_CACHE.get((n, q, members)) if members.__class__ is frozenset else None
     if code is None:
-        code = _CODE_CACHE[key] = CyclicCode(DefiningSet.closed(n, q, mset))
+        # n < 1 is never interned: DefiningSet.closed rejects it below
+        mset = frozenset(int(s) % n for s in members) if n > 0 else frozenset()
+        key = (n, q, mset)
+        code = _CODE_CACHE.get(key)
+        if code is None:
+            code = _CODE_CACHE[key] = CyclicCode(DefiningSet.closed(n, q, mset))
     return code
 
 

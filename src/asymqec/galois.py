@@ -334,19 +334,22 @@ class Field:
             self._log = None
 
     def _build_tables(self) -> None:
-        q = self.q
-        exp = [0] * (2 * (q - 1))
+        q, mod = self.q, self._mod_int
+        exp = [0] * (q - 1)
         log = [-1] * q
         v = 1
-        a = self._alpha_value
         for i in range(q - 1):
             exp[i] = v
             log[v] = i
-            v = self._mul_raw(v, a)
+            if self.p == 2:  # alpha is x (1 for GF(2), modulus x + 1): shift, then reduce
+                v <<= 1
+                if v & q:
+                    v ^= mod
+            else:
+                v = self._mul_raw(v, self._alpha_value)
         if v != 1:
             raise InternalConsistencyError(f"modulus of GF({self.q}) is not primitive")
-        for i in range(q - 1, 2 * (q - 1)):
-            exp[i] = exp[i - (q - 1)]
+        exp.extend(exp)  # a second period: a sum of two logs needs no reduction
         self._exp = exp
         self._log = log
 

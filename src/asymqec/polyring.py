@@ -7,9 +7,11 @@ the complete factorisation of x^n - 1, the one builder of the minimal
 polynomial of each coset (the product of its linear factors over the
 splitting field, mapped back to GF(q)). All values are immutable and all
 operations pure; divisibility answers and exact quotients are memoized by
-value and dropped with the other derived caches. Over prime fields products
-are one integer product of the packed coefficients (Kronecker substitution),
-and over GF(2) division is shift-and-XOR on packed coefficients.
+value and dropped with the other derived caches. `div_rem` and `divides`
+share one division loop; a `divides` miss builds no quotient. Over prime
+fields products are one integer product of the packed coefficients
+(Kronecker substitution), and over GF(2) division is shift-and-XOR on
+packed coefficients.
 """
 
 from __future__ import annotations
@@ -151,60 +153,72 @@ class Polynomial(NamedTuple):
             return Polynomial.zero(f)
         return Polynomial(f, tuple(f.mul_i(a, c) for a in self.coeffs))
 
-    def div_rem(self, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """(quotient, remainder) with deg(remainder) < deg(divisor)."""
+    def _reduce(self, divisor: Polynomial, quotient: bool) -> tuple:
+        """(remainder, quotient or None): the one division loop, behind both
+        `div_rem` and `divides`. Over GF(2) both are ints of one-byte lanes,
+        and the quotient is built only when asked for; other fields divide a
+        list in place, the remainder ending below deg(divisor) and the
+        quotient above it. The remainder (a list with no trailing zeros) is
+        falsy exactly when the division is exact."""
         self._check(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        f = self.field
-        db = len(divisor.coeffs) - 1
-        if f.q == 2:  # one-byte lanes: each quotient term is one shifted XOR
-            rem = int.from_bytes(bytes(self.coeffs), "little")
-            div = int.from_bytes(bytes(divisor.coeffs), "little")
-            quot, top = 0, 8 * db
+        f, b = self.field, divisor.coeffs
+        db = len(b) - 1
+        if f.q == 2:  # each quotient term is one shifted XOR
+            rem, quot = int.from_bytes(bytes(self.coeffs), "little"), 0
+            div, top = int.from_bytes(bytes(b), "little"), 8 * db
             while rem.bit_length() > top:
                 shift = (rem.bit_length() - 1 - top) & ~7
                 rem ^= div << shift
-                quot |= 1 << shift
-            return (Polynomial(f, tuple(quot.to_bytes(max(0, len(self.coeffs) - db), "little"))),
-                    Polynomial(f, tuple(rem.to_bytes(db, "little").rstrip(b"\0"))))
-        rem = list(self.coeffs)
-        inv_lead = f.inv_i(divisor.leading)
-        quot = [0] * max(0, len(rem) - db)
-        shifts = range(len(rem) - 1 - db, -1, -1)
+                if quotient:
+                    quot |= 1 << shift
+            return rem, quot
+        work = list(self.coeffs)
+        inv_lead = f.inv_i(b[-1])
+        shifts = range(len(work) - 1 - db, -1, -1)
         if f.m == 1:  # integers mod p, each reduced when it leads or at the end
             p = f.p
-            lower = [(j, c) for j, c in enumerate(divisor.coeffs[:-1]) if c]
+            lower = [(j, c) for j, c in enumerate(b[:-1]) if c]
             for shift in shifts:
-                factor = rem[shift + db] * inv_lead % p
+                factor = work[shift + db] = work[shift + db] * inv_lead % p
                 if factor:
-                    quot[shift] = factor
                     for j, c in lower:
-                        rem[shift + j] -= factor * c
-            rem = [c % p for c in rem[:db]]
+                        work[shift + j] -= factor * c
+            rem = [c % p for c in work[:db]]
         elif f.p == 2 and f._log is not None:  # sums are XOR, products two lookups
             exp, log = f._exp, f._log
             order, log_inv = f.q - 1, log[inv_lead]
-            lower = [(j, log[c]) for j, c in enumerate(divisor.coeffs[:-1]) if c]
+            lower = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
             for shift in shifts:
-                top = rem[shift + db]
+                top = work[shift + db]
                 if top:
                     lf = (log[top] + log_inv) % order
-                    quot[shift] = exp[lf]
+                    work[shift + db] = exp[lf]
                     for j, lc in lower:
-                        rem[shift + j] ^= exp[lf + lc]
-            rem = rem[:db]
+                        work[shift + j] ^= exp[lf + lc]
+            rem = work[:db]
         else:
             for shift in shifts:
-                top = rem[shift + db]
+                top = work[shift + db]
                 if top:
-                    factor = quot[shift] = f.mul_i(top, inv_lead)
-                    for j, c in enumerate(divisor.coeffs[:-1]):
+                    factor = work[shift + db] = f.mul_i(top, inv_lead)
+                    for j, c in enumerate(b[:-1]):
                         if c:
-                            rem[shift + j] = f.sub_i(rem[shift + j], f.mul_i(factor, c))
-            rem = rem[:db]
+                            work[shift + j] = f.sub_i(work[shift + j], f.mul_i(factor, c))
+            rem = work[:db]
         while rem and rem[-1] == 0:
             rem.pop()
+        return rem, work[db:] if quotient else None
+
+    def div_rem(self, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
+        """(quotient, remainder) with deg(remainder) < deg(divisor)."""
+        f = self.field
+        rem, quot = self._reduce(divisor, True)
+        if f.q == 2:
+            db = len(divisor.coeffs) - 1
+            quot = quot.to_bytes(max(0, len(self.coeffs) - db), "little")
+            rem = rem.to_bytes(db, "little").rstrip(b"\0")
         return Polynomial(f, tuple(quot)), Polynomial(f, tuple(rem))
 
     def exact_quotient(self, divisor: Polynomial) -> Polynomial | None:
@@ -235,8 +249,8 @@ class Polynomial(NamedTuple):
         """
         key = (self, other)
         hit = _DIVIDES.get(key)
-        if hit is None:
-            hit = _DIVIDES[key] = other.div_rem(self)[1].is_zero
+        if hit is None:  # a miss builds no quotient and no Polynomial
+            hit = _DIVIDES[key] = not other._reduce(self, False)[0]
         return hit
 
     def monic(self) -> Polynomial:
@@ -480,16 +494,22 @@ def factor_xn_minus_1(n: int, q: int) -> tuple[tuple[CyclotomicCoset, Polynomial
     ext, alpha = nth_root_field(n, q)
     base = field_of_size(q)
     _, lift = subfield_embedding(base, ext)
-    add, mul = ext.add_i, ext.mul_i
+    add, mul, exp, log = ext.add_i, ext.mul_i, ext._exp, ext._log
     factors = []
     product = Polynomial.one(base)
     for coset in cosets:
         coeffs = [1]
         for i in coset.members:
-            root = ext.neg_i(ext.pow_i(alpha.value, i))
             coeffs.insert(0, 0)  # times x, plus -alpha^i times the old coefficients
-            for j in range(len(coeffs) - 1):
-                coeffs[j] = add(coeffs[j], mul(root, coeffs[j + 1]))
+            if ext.p == 2 and log is not None:  # -alpha^i = alpha^i, products are lookups
+                lr = log[alpha.value] * i % (ext.q - 1)
+                for j in range(len(coeffs) - 1):
+                    if coeffs[j + 1]:
+                        coeffs[j] ^= exp[lr + log[coeffs[j + 1]]]
+            else:
+                root = ext.neg_i(ext.pow_i(alpha.value, i))
+                for j in range(len(coeffs) - 1):
+                    coeffs[j] = add(coeffs[j], mul(root, coeffs[j + 1]))
         try:
             factor = Polynomial(base, tuple(lift[c] for c in coeffs))
         except KeyError as exc:

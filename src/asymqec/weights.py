@@ -38,7 +38,10 @@ search walks each code of a length at most twice, whatever its pair count.
 
 `enumerated` counts the codewords accounted for in an answer: the classes
 scanned plus, per distribution read, the cheaper side's (q^k - 1)/(q - 1)
-classes, cached or not, walked one by one or met in orbits.
+classes, cached or not, walked one by one or met in orbits. Per code,
+`_MIN_CACHE` holds (d, classes scanned, words counted) and `_DIST_CACHE`
+(the count of each weight 0..n as a list, the code walked for it), so a
+pair's answer is lookups plus the one pass over two lists that checks them.
 
 An inner code equal to the outer one leaves an empty difference; this arises
 exactly for derived codes with zero logical dimension, where the convention
@@ -269,10 +272,10 @@ def _plane_scan(code: CyclicCode, counts: list[int], cap: int, lb: int = -1) -> 
 # Per-code facts, cached
 # ---------------------------------------------------------------------------
 
-#: code -> (d, messages scanned, codes walked for distributions)
-_MIN_CACHE: dict[CyclicCode, tuple[int, int, frozenset[CyclicCode]]] = {}
-#: code -> (weight distribution, the code walked for it)
-_DIST_CACHE: dict[CyclicCode, tuple[Distribution, CyclicCode]] = {}
+#: code -> (d, messages scanned, words counted: those plus any distribution read)
+_MIN_CACHE: dict[CyclicCode, tuple[int, int, int]] = {}
+#: code -> (the count of each weight 0..n, the code walked for the distribution)
+_DIST_CACHE: dict[CyclicCode, tuple[list[int], CyclicCode]] = {}
 #: (n, q, coset representative) -> one packed word per orbit of the minimal ideal
 _ORBIT_CACHE: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
@@ -282,25 +285,29 @@ def _messages(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def _words(scanned: int, walked: frozenset[CyclicCode]) -> int:
-    return scanned + sum(_messages(c.q, c.k) for c in walked)
-
-
-def _distribution(code: CyclicCode) -> tuple[Distribution, CyclicCode]:
-    """(weight distribution, the code walked for it), from the cheaper side."""
+def _distribution(code: CyclicCode) -> tuple[list[int], CyclicCode]:
+    """(the count of each weight 0..n, the code walked for it), from the
+    cheaper side."""
     hit = _DIST_CACHE.get(code)
     if hit is None:
         if code.k <= code.n - code.k:
-            hit = _distribution_direct(code), code
+            dist, walked = _distribution_direct(code), code
         else:
-            dual_dist, walked = _distribution(code.dual())
-            hit = macwilliams_transform(dual_dist, code.n, code.q, code.n - code.k), walked
-        _DIST_CACHE[code] = hit
+            dual_counts, walked = _distribution(code.dual())
+            dist = macwilliams_transform(enumerate(dual_counts), code.n, code.q, code.n - code.k)
+        counts = [0] * (code.n + 1)
+        for w, c in dist:
+            counts[w] = c
+        hit = _DIST_CACHE[code] = counts, walked
     return hit
 
 
-def _min(code: CyclicCode) -> tuple[int, int, frozenset[CyclicCode]]:
-    """(d, messages scanned, codes walked for the distribution read) of a k > 0 code."""
+def _least_nonzero(counts: list[int]) -> int:
+    return next(w for w in range(1, len(counts)) if counts[w])
+
+
+def _min(code: CyclicCode) -> tuple[int, int, int]:
+    """(d, messages scanned, words counted) of a k > 0 code."""
     hit = _MIN_CACHE.get(code)
     if hit is None:
         lb = code.designed_distance_bound
@@ -308,15 +315,13 @@ def _min(code: CyclicCode) -> tuple[int, int, frozenset[CyclicCode]]:
         cap = _messages(code.q, min(code.k, code.n - code.k))
         counts = [0] * (code.n + 1)
         scanned = _plane_scan(code, counts, cap, lb)
-        best = next((w for w, c in enumerate(counts) if c), _INF)
-        walked: frozenset[CyclicCode] = frozenset()
+        best, words = next((w for w, c in enumerate(counts) if c), _INF), scanned
         if best > lb and scanned < total:
-            dist, walked_code = _distribution(code)
-            best = dist[1][0]
-            walked = frozenset((walked_code,))
+            dist, walked = _distribution(code)
+            best, words = _least_nonzero(dist), scanned + _messages(walked.q, walked.k)
         if best < lb:
             raise InternalConsistencyError(f"found weight {best} below the proven lower bound {lb}")
-        hit = _MIN_CACHE[code] = (best, scanned, walked)
+        hit = _MIN_CACHE[code] = (best, scanned, words)
     return hit
 
 
@@ -335,12 +340,12 @@ def min_weight(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
         raise ValueError("the zero code has no nonzero codewords")
     space = code.q**code.k
     if space <= budget:
-        value, scanned, walked = _min(code)
-        return WeightReport(value, "exhaustive", _words(scanned, walked), budget)
+        value, _, words = _min(code)
+        return WeightReport(value, "exhaustive", words, budget)
     if code.q ** (code.n - code.k) > budget:
         raise BudgetExceeded(space, budget)
-    dist, side = _distribution(code)
-    return WeightReport(dist[1][0], "macwilliams", _messages(side.q, side.k), budget)
+    counts, side = _distribution(code)
+    return WeightReport(_least_nonzero(counts), "macwilliams", _messages(side.q, side.k), budget)
 
 
 def min_weight_difference(outer: CyclicCode, inner: CyclicCode,
@@ -367,21 +372,22 @@ def min_weight_difference_unchecked(outer: CyclicCode, inner: CyclicCode,
     space = outer.q**outer.k
     if space > budget:
         raise BudgetExceeded(space, budget)
-    value, scanned, walked = _min(outer)
+    value, scanned, words = _min(outer)
     # below inner's designed bound, a minimum word of outer cannot lie in inner
     if value >= inner.designed_distance_bound:
-        a_outer, outer_walked = _distribution(outer)
-        a_inner, inner_walked = _distribution(inner)
-        walked = walked | {outer_walked, inner_walked}
-        outer_counts, inner_counts = dict(a_outer), dict(a_inner)
-        value = next((w for w, c in a_outer if c > inner_counts.get(w, 0)), _INF)
+        outer_counts, outer_walked = _distribution(outer)
+        inner_counts, inner_walked = _distribution(inner)
+        # each code walked for a distribution is counted once, outer's scan too
+        words = scanned + sum(_messages(c.q, c.k) for c in {outer_walked, inner_walked})
+        value = next((w for w, (a, b) in enumerate(zip(outer_counts, inner_counts))
+                      if a > b), _INF)
         if value >= _INF or value < outer.designed_distance_bound or any(
-                c > outer_counts.get(w, 0) for w, c in a_inner):
+                map(int.__lt__, outer_counts, inner_counts)):
             raise InternalConsistencyError(
                 f"weight distribution of {inner.descriptor()} does not fit inside that "
                 f"of {outer.descriptor()} above its designed bound"
             )
-    return WeightReport(value, "exhaustive", _words(scanned, walked), budget)
+    return WeightReport(value, "exhaustive", words, budget)
 
 
 def weight_distribution(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> Distribution:
@@ -394,7 +400,7 @@ def weight_distribution(code: CyclicCode, budget: int = DEFAULT_BUDGET) -> Distr
     cheaper = code.q ** min(code.k, code.n - code.k)
     if cheaper > budget:
         raise BudgetExceeded(cheaper, budget)
-    return _distribution(code)[0]
+    return tuple((w, c) for w, c in enumerate(_distribution(code)[0]) if c)
 
 
 def _orbit_size(n: int, q: int, s: int) -> int:
@@ -473,7 +479,7 @@ def _distribution_split(code: CyclicCode, lead: CyclotomicCoset) -> Distribution
     _plane_walk(_orbit_representatives(n, q, lead), _plane_rows(rest), n, code.field, fibers,
                 _INF)
     counts = [_orbit_size(n, q, lead.representative) * c for c in fibers]
-    for w, c in _distribution(rest)[0]:
+    for w, c in enumerate(_distribution(rest)[0]):
         counts[w] += c
     return tuple((w, c) for w, c in enumerate(counts) if c)
 
@@ -495,7 +501,7 @@ def _distribution_direct(code: CyclicCode) -> Distribution:
     return tuple((w, c) for w, c in enumerate(counts) if c)
 
 
-def macwilliams_transform(dist: Sequence[tuple[int, int]], n: int, q: int,
+def macwilliams_transform(dist: Iterable[tuple[int, int]], n: int, q: int,
                           k: int) -> tuple[tuple[int, int], ...]:
     """Weight distribution of the dual of a code with the given distribution.
 

@@ -99,6 +99,24 @@ def test_from_defining_set_lookup_skips_validation(monkeypatch):
     assert calls == []
 
 
+def test_from_defining_set_interns_every_spelling_of_a_set():
+    code = from_defining_set(15, 2, frozenset({1, 2, 4, 8}))
+    # s + n and -s name the same residues; the normalized key is the frozenset above
+    for members in ({1, 2, 4, 8}, [8, 4, 2, 1], (1, 2, 4, 8), frozenset({16, 2, 19, -7}),
+                    [16, 17, 4, -7], (s for s in (1, 2, 4, 8))):
+        assert from_defining_set(15, 2, members) is code
+    assert from_defining_set(15, 2, frozenset({1, 2, 4, 8})) is code
+    assert bch(15, 2, 3) is code
+
+
+def test_a_frozenset_that_is_not_closed_is_rejected_on_every_call():
+    from_defining_set(15, 2, frozenset({1, 2, 4, 8}))
+    for members in [frozenset({1, 2, 4})] * 3 + [frozenset({16, 2, 4})]:
+        with pytest.raises(ValueError, match="not closed"):
+            from_defining_set(15, 2, members)
+    assert (15, 2, frozenset({1, 2, 4})) not in cyclic._CODE_CACHE
+
+
 def test_invalid_sets_rejected_after_their_closure_is_interned():
     from_defining_set(15, 2, {1, 2, 4, 8})
     with pytest.raises(ValueError, match="not closed"):

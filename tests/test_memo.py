@@ -16,8 +16,10 @@ import pytest
 
 import asymqec.cyclic
 import asymqec.polyring
+import asymqec.weights
 from asymqec.aqec import extend_by_polynomial
-from asymqec.cyclic import CyclicCode, DefiningSet, bch, divisor_roots, full_space, roots_of, rs
+from asymqec.cyclic import (CyclicCode, DefiningSet, bch, divisor_roots, from_defining_set,
+                            full_space, roots_of, rs)
 from asymqec.errors import InternalConsistencyError
 from asymqec.galois import (
     clear_modulus_overrides,
@@ -27,6 +29,7 @@ from asymqec.galois import (
 )
 from asymqec.polyring import Polynomial, parse_poly
 from asymqec.search import search
+from asymqec.weights import min_weight, min_weight_difference, weight_distribution
 
 
 @pytest.fixture(autouse=True)
@@ -77,19 +80,57 @@ def test_contains_rechecks_every_criterion_after_a_cached_answer(code_name, slot
         codes["outer"].contains(codes["inner"])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("side", ["generator", "parity"])
+def test_contains_rejects_a_wrong_divisibility_answer_hit_or_miss(q, side):
+    outer, inner = bch(13 if q == 3 else 15, q, 2), bch(13 if q == 3 else 15, q, 4)
+    assert outer.contains(inner)
+    pair = ((outer.generator_polynomial, inner.generator_polynomial) if side == "generator"
+            else (inner.parity_polynomial, outer.parity_polynomial))
+    asymqec.polyring._DIVIDES[pair] = False  # a memo hit with the wrong answer
+    with pytest.raises(InternalConsistencyError, match="criteria disagree"):
+        outer.contains(inner)
+    clear_modulus_overrides()
+    outer, inner = bch(outer.n, q, 2), bch(outer.n, q, 4)
+    # a miss on a corrupted polynomial: x^n - 1 divides neither g(inner) nor h(outer)
+    code, slot = (outer, "_g") if side == "generator" else (inner, "_h")
+    code._polynomials()
+    xn1 = Polynomial.monomial(code.field, code.n) - Polynomial.one(code.field)
+    setattr(code, slot, xn1)
+    with pytest.raises(InternalConsistencyError, match="criteria disagree"):
+        outer.contains(inner)
+
+
+def test_clearing_the_modulus_table_drops_each_codes_weight_facts():
+    # d(outer) = 3 meets inner's designed bound, so both distributions are read
+    outer, inner = bch(15, 2, 3), from_defining_set(15, 2, {1, 2, 4, 5, 8, 10})
+    report = min_weight_difference(outer, inner)
+    d, scanned, words = asymqec.weights._MIN_CACHE[outer]
+    assert (d, words) == (min_weight(outer).value, min_weight(outer).enumerated)
+    assert report.enumerated >= words >= scanned > 0
+    for code in (outer, inner):
+        counts, walked = asymqec.weights._DIST_CACHE[code]
+        assert counts == [dict(weight_distribution(code)).get(w, 0) for w in range(16)]
+        assert walked in (code, code.dual())
+    clear_modulus_overrides()
+    assert not asymqec.weights._MIN_CACHE and not asymqec.weights._DIST_CACHE
+    inner = from_defining_set(15, 2, inner.T.members)
+    assert min_weight_difference(bch(15, 2, 3), inner) == report
+
+
 def test_a_family_search_divides_each_pair_and_roots_each_divisor_once(monkeypatch):
     divisions, root_sets = Counter(), Counter()
-    div_rem, roots = Polynomial.div_rem, asymqec.cyclic.roots_of
+    reduce, roots = Polynomial._reduce, asymqec.cyclic.roots_of
 
-    def counted_div_rem(self, divisor):
+    def counted_reduce(self, divisor, quotient):
         divisions[divisor, self] += 1
-        return div_rem(self, divisor)
+        return reduce(self, divisor, quotient)
 
     def counted_roots(f, n):
         root_sets[f, n] += 1
         return roots(f, n)
 
-    monkeypatch.setattr(Polynomial, "div_rem", counted_div_rem)
+    monkeypatch.setattr(Polynomial, "_reduce", counted_reduce)
     monkeypatch.setattr(asymqec.cyclic, "roots_of", counted_roots)
     results = search(21, 2, "extend-poly")
     assert results
@@ -100,13 +141,14 @@ def test_a_family_search_divides_each_pair_and_roots_each_divisor_once(monkeypat
 @pytest.mark.parametrize("n,q,route", [(21, 2, "css"), (21, 2, "subsystem"), (8, 3, "css")])
 def test_family_searches_divide_each_pair_at_most_once(monkeypatch, n, q, route):
     divisions = Counter()
-    div_rem = Polynomial.div_rem
+    reduce = Polynomial._reduce
 
-    def counted_div_rem(self, divisor):
+    def counted_reduce(self, divisor, quotient):
         divisions[divisor, self] += 1
-        return div_rem(self, divisor)
+        return reduce(self, divisor, quotient)
 
-    monkeypatch.setattr(Polynomial, "div_rem", counted_div_rem)
+    # both div_rem and a divides miss run the one division loop
+    monkeypatch.setattr(Polynomial, "_reduce", counted_reduce)
     assert search(n, q, route)
     assert divisions and max(divisions.values()) == 1
 

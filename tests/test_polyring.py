@@ -143,6 +143,33 @@ def test_div_rem_and_mul_match_the_schoolbook_oracle(field):
         assert list((d * c).coeffs) == oracle.poly_mul(d.coeffs, c.coeffs, field)
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_divides_answers_what_the_remainder_of_div_rem_says(field):
+    rng = random.Random(field.q)
+    zero = Polynomial.zero(field)
+    cases = []
+    for _ in range(300):
+        d = random_poly(rng, field, rng.randrange(1, 7))
+        if d.is_zero:
+            continue
+        c = random_poly(rng, field, rng.randrange(1, 8))
+        shorter = random_poly(rng, field, rng.randrange(len(d.coeffs)))
+        cases += [(d, zero), (d, shorter), (d, c * d), (d, c * d + Polynomial.one(field)),
+                  (d, random_poly(rng, field, rng.randrange(12))),
+                  (Polynomial.monomial(field, 0, rng.randrange(1, field.q)), c)]
+    answers = set()
+    for d, a in cases:
+        polyring._DIVIDES.clear()  # every answer from the division, none from the memo
+        exact = a.div_rem(d)[1].is_zero
+        polyring._DIVIDES.clear()
+        assert d.divides(a) is exact
+        answers.add(exact)
+    assert answers == {True, False}
+    with pytest.raises(ZeroDivisionError):
+        zero.divides(Polynomial.one(field))
+    polyring._DIVIDES.clear()
+
+
 @pytest.mark.parametrize("base,ext", [
     ((2, 1), (2, 4)), ((3, 1), (3, 2)), ((2, 2), (2, 6)), ((5, 1), (5, 1)),
     ((5, 1), (5, 2)), ((2, 3), (2, 6)), ((3, 2), (3, 4)),

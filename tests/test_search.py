@@ -9,9 +9,11 @@ import pytest
 
 import oracle
 from asymqec.aqec import extend_by_defining_set
-from asymqec.cyclic import CyclicCode
+from asymqec.cyclic import CyclicCode, from_defining_set
+from asymqec.galois import clear_modulus_overrides
 from asymqec.polyring import cyclotomic_cosets
-from asymqec.search import all_cyclic_codes, search
+from asymqec.search import ROUTES, all_cyclic_codes, search
+from asymqec.weights import min_weight, min_weight_difference
 
 # the package re-exports the function `search` under the module's name
 search_module = importlib.import_module("asymqec.search")
@@ -51,6 +53,66 @@ def test_search_deterministic_across_calls():
     second = search(7, 2, "css")
     assert [(p.label(), p.c1.descriptor(), p.c2.descriptor()) for p in first] == \
            [(p.label(), p.c1.descriptor(), p.c2.descriptor()) for p in second]
+
+
+def weight_reports(n, q, cold):
+    """min_weight of every nonzero code and min_weight_difference of every
+    nested pair, each after clearing every derived cache when `cold`."""
+    sets = [c.T.members for c in all_cyclic_codes(n, q) if c.k]
+    out = {}
+    for a in sets:
+        for b in [None, *sets]:
+            if cold:
+                clear_modulus_overrides()
+            outer = from_defining_set(n, q, a)
+            if b is None:
+                out[a] = min_weight(outer)
+            elif b != a and outer.contains(inner := from_defining_set(n, q, b)):
+                out[a, b] = min_weight_difference(outer, inner)
+    return out
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (8, 3), (9, 4)])
+def test_records_and_reports_are_the_same_cold_and_warm(n, q):
+    cold = {}
+    for route in ROUTES:
+        clear_modulus_overrides()
+        cold[route] = search(n, q, route)
+    # records compare every field, each side's enumerated word count included
+    for route, warmer in itertools.permutations(ROUTES, 2):
+        clear_modulus_overrides()
+        search(n, q, warmer)
+        assert search(n, q, route) == cold[route]
+    clear_modulus_overrides()
+    for route in ROUTES:
+        search(n, q, route)
+    warm = weight_reports(n, q, cold=False)
+    assert warm == weight_reports(n, q, cold=True)
+    assert any(isinstance(key, tuple) for key in warm)  # pairs as well as single codes
+
+
+def singleton_slack(p):
+    """n - dz - dx + 2 - k: at least 0 by the asymmetric Singleton bound
+    k <= n - dz - dx + 2 of a stabilizer code (Sarvepalli, Klappenecker and
+    Roetteler, Proc. R. Soc. A 2009), which lower bounds on dz, dx meet too."""
+    return p.n - p.dz.value - p.dx.value + 2 - p.k
+
+
+@pytest.mark.parametrize("route", ["css", "extend-poly", "extend-set"])
+@pytest.mark.parametrize("n,q", [(15, 2), (21, 2), (13, 3), (8, 3), (9, 4), (7, 8)])
+def test_stabilizer_records_meet_the_asymmetric_singleton_bound(n, q, route):
+    records = search(n, q, route)
+    assert records
+    assert [p.label() for p in records if singleton_slack(p) < 0] == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the subsystem route reports wt(C2-dual minus C1) and wt(C1-dual minus "
+    "C2), not the dressed distance; this record has n - k - r = 0 stabilizer generators, "
+    "so it detects no error and its dressed distance is 1/1"))
+def test_the_subsystem_record_with_no_stabilizers_meets_the_singleton_bound():
+    record = next(p for p in search(15, 2, "subsystem") if p.label() == "[[15,1,14,15/1]]_2")
+    assert singleton_slack(record) - record.r >= 0  # k + r <= n - dz - dx + 2
 
 
 def test_search_max_results():

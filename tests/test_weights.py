@@ -331,8 +331,9 @@ def test_qary_kernels_against_brute_force_span(n, q):
             # the answer counts the scan of outer and the cheaper side of each
             # distribution read: outer's when its scan did not settle, and both
             # codes' unless d(outer) is below inner's designed bound
-            _, scanned, walked = asymqec.weights._MIN_CACHE[outer]
-            walked = set(walked)
+            _, scanned, words = asymqec.weights._MIN_CACHE[outer]
+            walked = {cheaper_side(outer)} if words > scanned else set()
+            assert words == scanned + sum(messages(c) for c in walked)
             d_outer = min(oracle.weight_q(w) for w in spans[outer] if any(w))
             if d_outer >= inner.designed_distance_bound:
                 walked |= {cheaper_side(outer), cheaper_side(inner)}
@@ -478,7 +479,7 @@ def test_min_weight_rejects_a_distribution_below_the_designed_bound():
     code = hamming(3, 3)  # [13,10,3]_3, designed bound 2: the scan never settles it
     fresh()
     # a corrupt distribution of the cheaper (dual) side with two weight-1 words
-    asymqec.weights._DIST_CACHE[code] = (((0, 1), (1, 2), (3, 3**10 - 3)), code.dual())
+    asymqec.weights._DIST_CACHE[code] = ([1, 2, 0, 3**10 - 3] + [0] * 10, code.dual())
     with pytest.raises(InternalConsistencyError, match="below the proven lower bound"):
         min_weight(code)
     fresh()
@@ -493,7 +494,7 @@ def test_min_weight_difference_rejects_inconsistent_distributions():
     # inner claims more weight-3 words than the outer code that contains it
     corrupt = tuple((w, a_outer[3] + 1 if w == 3 else c)
                     for w, c in weight_distribution(inner))
-    asymqec.weights._DIST_CACHE[inner] = (corrupt, inner)
+    asymqec.weights._DIST_CACHE[inner] = ([dict(corrupt).get(w, 0) for w in range(16)], inner)
     with pytest.raises(InternalConsistencyError, match="does not fit"):
         min_weight_difference(outer, inner)
     fresh()
