@@ -8,6 +8,10 @@ array lookups; larger fields fall back to residue arithmetic modulo the
 field modulus. Fields and elements are immutable after construction and safe
 to share between threads.
 
+The one GF(p)[x] layer lives here too: one product (Kronecker substitution)
+and one division loop, behind `polyring`'s prime-field polynomials,
+odd-characteristic residue arithmetic and the modulus search.
+
 The default modulus for each (p, m) is the lexicographically smallest monic
 primitive polynomial of degree m over GF(p) (x^4 + x + 1 for GF(16)), so
 generator polynomials and everything derived from them are reproducible
@@ -20,7 +24,8 @@ per line, ascending coefficients, `#` comments allowed:
     2 4 1 1 0 0 1
 
 A supplied modulus must be monic, irreducible and primitive; anything else
-is rejected.
+is rejected. Both the search and the check test primitivity alone: if x has
+order p^m - 1 modulo f, every nonzero residue is a unit, so f is irreducible.
 """
 
 from __future__ import annotations
@@ -113,82 +118,78 @@ def check_length(n: int, q: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# GF(p) coefficient-tuple polynomial helpers, used only for the modulus search
-# and generic (table-free) residue arithmetic. Coefficients ascending.
+# GF(p)[x], coefficients ascending: the one product and the one division.
+# The modulus search tests primitivity alone, which implies irreducibility;
+# trial division only words the rejection of a modulus that is not primitive.
 # ---------------------------------------------------------------------------
 
-def _ptrim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+@lru_cache(maxsize=None)
+def _residues(p: int) -> bytes:
+    """The byte table i -> i mod p, for `bytes.translate`."""
+    return bytes(i % p for i in range(256))
 
 
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+def _kronecker(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """The product of two nonzero coefficient sequences over GF(p): each
+    packed as w-byte lanes of one int, multiplied once, each lane read back
+    mod p. No lane of the integer product exceeds min(len a, len b) *
+    (p - 1)^2, and w is the bytes of that bound, so no lane carries."""
+    size = len(a) + len(b) - 1
+    w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    if w == 1:
+        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+        return tuple(prod.to_bytes(size, "little").translate(_residues(p)))
+    x, y = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in t), "little") for t in (a, b))
+    raw = (x * y).to_bytes(size * w, "little")
+    return tuple(int.from_bytes(raw[i:i + w], "little") % p for i in range(0, size * w, w))
 
 
-def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
+def _divide(work: list[int], b: Sequence[int], p: int) -> list[int]:
+    """Divide the coefficient list `work` by the nonzero b over GF(p), in
+    place: the quotient ends in work[deg b:], and the remainder, trimmed of
+    trailing zeros, is returned. Entries are reduced mod p only when they
+    lead or at the end, so `work` may hold any integers."""
     db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p) if p > 2 else 1
-    quot = [0] * max(0, len(rem) - db)
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        shift = len(rem) - 1 - db
-        factor = (rem[-1] * inv_lead) % p
-        quot[shift] = factor
-        for j, bj in enumerate(b):
-            rem[shift + j] = (rem[shift + j] - factor * bj) % p
-    return _ptrim(quot), _ptrim(rem)
-
-
-def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    acc = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, acc, p), mod, p)[1]
-        acc = _pdivmod(_pmul(acc, acc, p), mod, p)[1]
-        e >>= 1
-    return result
+    inv_lead = pow(b[-1], p - 2, p)
+    lower = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    for shift in range(len(work) - 1 - db, -1, -1):
+        factor = work[shift + db] = work[shift + db] * inv_lead % p
+        if factor:
+            for j, c in lower:
+                work[shift + j] -= factor * c
+    rem = [c % p for c in work[:db]]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
 
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1 .. deg f // 2."""
     m = len(f) - 1
-    if m < 1:
-        return False
-    # Trial division by every monic polynomial of degree 1 .. m//2.
-    for d in range(1, m // 2 + 1):
-        for enc in range(p ** d):
-            g = _decode_digits(enc, p, d) + [1]
-            if not _pdivmod(f, g, p)[1]:
-                return False
-    return True
+    return m >= 1 and all(_divide(list(f), _decode_digits(enc, p, d) + [1], p)
+                          for d in range(1, m // 2 + 1) for enc in range(p ** d))
+
+
+def _x_power(e: int, f: Sequence[int], p: int) -> list[int]:
+    """x^e mod f over GF(p) (f(0) != 0, so no power vanishes): squares from
+    the top bit of e down, and each set bit multiplies by x as a shift."""
+    acc = [1]
+    for bit in bin(e)[2:]:
+        acc = _divide(list(_kronecker(acc, acc, p)), f, p)
+        if bit == "1":
+            acc = _divide([0] + acc, f, p)
+    return acc
 
 
 def _is_primitive(f: Sequence[int], p: int) -> bool:
-    """True if the residue class of x generates GF(p^deg f)*."""
+    """True if the residue class of x generates GF(p^deg f)*, which also
+    makes f irreducible."""
     m = len(f) - 1
-    q = p ** m
-    x = (0, 1)
-    if _ppowmod(x, q - 1, f, p) != (1,):
+    if m < 1 or f[0] == 0:
         return False
-    for r in prime_factors(q - 1):
-        if _ppowmod(x, (q - 1) // r, f, p) == (1,):
-            return False
-    return True
+    q = p ** m
+    return _x_power(q - 1, f, p) == [1] and all(
+        _x_power((q - 1) // r, f, p) != [1] for r in prime_factors(q - 1))
 
 
 def _decode_digits(value: int, p: int, width: int) -> list[int]:
@@ -222,7 +223,7 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
         raise ValueError(f"field size {p}^{m} exceeds the supported bound {MAX_FIELD_SIZE}")
     for enc in range(p ** m):
         f = tuple(_decode_digits(enc, p, m)) + (1,)
-        if _is_irreducible(f, p) and _is_primitive(f, p):
+        if _is_primitive(f, p):
             return f
     raise InternalConsistencyError(f"no primitive polynomial found for GF({p}^{m})")
 
@@ -239,9 +240,9 @@ def _validated_modulus(p: int, m: int, coeffs: Sequence[int]) -> tuple[int, ...]
     mod = tuple(int(c) % p for c in coeffs)
     if len(mod) != m + 1 or mod[-1] != 1:
         raise ValueError(f"modulus for GF({p}^{m}) must be monic of degree {m}")
-    if not _is_irreducible(mod, p):
-        raise ValueError(f"modulus {mod} is not irreducible over GF({p})")
-    if not _is_primitive(mod, p):
+    if not _is_primitive(mod, p):  # primitive implies irreducible; tell the two failures apart
+        if not _is_irreducible(mod, p):
+            raise ValueError(f"modulus {mod} is not irreducible over GF({p})")
         raise ValueError(f"modulus {mod} is irreducible but not primitive over GF({p})")
     return mod
 
@@ -323,10 +324,7 @@ class Field:
         self._hash = hash((p, m, modulus))
         # integer encoding of the modulus, used by the GF(2^m) fast path
         self._mod_int = _encode_digits(modulus, p)
-        if m == 1:
-            self._alpha_value = (-modulus[0]) % p
-        else:
-            self._alpha_value = p  # the residue class of x
+        self._alpha_value = (-modulus[0]) % p if m == 1 else p  # the residue class of x
         if self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -334,19 +332,24 @@ class Field:
             self._log = None
 
     def _build_tables(self) -> None:
-        q, mod = self.q, self._mod_int
+        p, q, mod = self.p, self.q, self._mod_int
         exp = [0] * (q - 1)
         log = [-1] * q
         v = 1
+        digits, lower = [1] + [0] * (self.m - 1), self.modulus[:-1]
         for i in range(q - 1):
             exp[i] = v
             log[v] = i
-            if self.p == 2:  # alpha is x (1 for GF(2), modulus x + 1): shift, then reduce
+            if p == 2:  # alpha is x (1 for GF(2), modulus x + 1): shift, then reduce
                 v <<= 1
                 if v & q:
                     v ^= mod
-            else:
-                v = self._mul_raw(v, self._alpha_value)
+            else:  # times x: shift the digits up, less the top digit c times the modulus
+                c = digits.pop()
+                digits.insert(0, 0)
+                if c:
+                    digits = [(d - c * f) % p for d, f in zip(digits, lower)]
+                v = _encode_digits(digits, p)
         if v != 1:
             raise InternalConsistencyError(f"modulus of GF({self.q}) is not primitive")
         exp.extend(exp)  # a second period: a sum of two logs needs no reduction
@@ -369,21 +372,8 @@ class Field:
                     a ^= mod
             return acc
         p = self.p
-        da = _decode_digits(a, p, self.m)
-        db = _decode_digits(b, p, self.m)
-        prod = [0] * (2 * self.m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce modulo the modulus
-        for i in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.m):
-                    prod[i - self.m + j] = (prod[i - self.m + j] - c * self.modulus[j]) % p
-        return _encode_digits(prod[: self.m], p)
+        prod = _kronecker(_decode_digits(a, p, self.m), _decode_digits(b, p, self.m), p)
+        return _encode_digits(_divide(list(prod), self.modulus, p), p)
 
     # -- integer-level field operations ------------------------------------
 

@@ -9,9 +9,8 @@ splitting field, mapped back to GF(q)). All values are immutable and all
 operations pure; divisibility answers and exact quotients are memoized by
 value and dropped with the other derived caches. `div_rem` and `divides`
 share one division loop; a `divides` miss builds no quotient. Over prime
-fields products are one integer product of the packed coefficients
-(Kronecker substitution), and over GF(2) division is shift-and-XOR on
-packed coefficients.
+fields products and odd-p division are `galois`'s GF(p)[x] product and
+division, and over GF(2) division is shift-and-XOR on packed coefficients.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ NEG_INF = float("-inf")
 class Polynomial(NamedTuple):
     """Polynomial over a Field; coefficients ascending, no trailing zeros.
 
-    Over a prime field a product packs each coefficient tuple as byte lanes
-    of one int and multiplies once (`_kronecker`); over GF(2) division holds
+    Over a prime field a product is `galois._kronecker`, one integer product
+    of the coefficients packed as byte lanes; over GF(2) division holds
     dividend and divisor as one-byte lanes and cancels each leading term with
-    one shifted XOR, odd p divides with integers reduced mod p. Over GF(2^m)
+    one shifted XOR, odd p divides with `galois._divide`. Over GF(2^m)
     products and division XOR through the log and antilog tables; other
     fields go through the Field methods.
     """
@@ -129,7 +128,7 @@ class Polynomial(NamedTuple):
         if not self.coeffs or not other.coeffs:
             return Polynomial.zero(f)
         if f.m == 1:
-            return Polynomial(f, _kronecker(self.coeffs, other.coeffs, f.p))
+            return Polynomial(f, galois._kronecker(self.coeffs, other.coeffs, f.p))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         if f.p == 2 and f._log is not None:  # sums are XOR, products two lookups
             exp, log = f._exp, f._log
@@ -175,18 +174,12 @@ class Polynomial(NamedTuple):
                     quot |= 1 << shift
             return rem, quot
         work = list(self.coeffs)
+        if f.m == 1:  # the quotient ends in work[db:]
+            rem = galois._divide(work, b, f.p)
+            return rem, work[db:] if quotient else None
         inv_lead = f.inv_i(b[-1])
         shifts = range(len(work) - 1 - db, -1, -1)
-        if f.m == 1:  # integers mod p, each reduced when it leads or at the end
-            p = f.p
-            lower = [(j, c) for j, c in enumerate(b[:-1]) if c]
-            for shift in shifts:
-                factor = work[shift + db] = work[shift + db] * inv_lead % p
-                if factor:
-                    for j, c in lower:
-                        work[shift + j] -= factor * c
-            rem = [c % p for c in work[:db]]
-        elif f.p == 2 and f._log is not None:  # sums are XOR, products two lookups
+        if f.p == 2 and f._log is not None:  # sums are XOR, products two lookups
             exp, log = f._exp, f._log
             order, log_inv = f.q - 1, log[inv_lead]
             lower = [(j, log[c]) for j, c in enumerate(b[:-1]) if c]
@@ -317,27 +310,6 @@ class Polynomial(NamedTuple):
 _DIVIDES: dict[tuple[Polynomial, Polynomial], bool] = {}
 #: (divisor, dividend) -> the exact quotient, or None
 _QUOTIENTS: dict[tuple[Polynomial, Polynomial], Polynomial | None] = {}
-
-
-@lru_cache(maxsize=None)
-def _residues(p: int) -> bytes:
-    """The byte table i -> i mod p, for `bytes.translate`."""
-    return bytes(i % p for i in range(256))
-
-
-def _kronecker(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """The product of two nonzero coefficient tuples over GF(p): each packed as
-    w-byte lanes of one int, multiplied once, each lane read back mod p. No
-    lane of the integer product exceeds min(len a, len b) * (p - 1)^2, and w
-    is the bytes of that bound, so no lane carries into the next."""
-    size = len(a) + len(b) - 1
-    w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
-    if w == 1:
-        prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-        return tuple(prod.to_bytes(size, "little").translate(_residues(p)))
-    x, y = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in t), "little") for t in (a, b))
-    raw = (x * y).to_bytes(size * w, "little")
-    return tuple(int.from_bytes(raw[i:i + w], "little") % p for i in range(0, size * w, w))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

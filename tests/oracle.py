@@ -3,12 +3,13 @@
 GF(2) codeword sets are built by folding the span of generator rows
 (bitmask ints), duals by nullspace computation on those rows; GF(q) spans
 multiply every message with the generator rows; polynomial products and
-long division are schoolbook loops of field operations. Everything here is
-independent of the defining-set calculus and the weight kernels under test,
-except `css_pairs`, the all-pairs reference for the css search, which asks
-`contains` (sets and both polynomial divisions) of every pair of codes.
-`macwilliams_transform` is the closed-form Krawtchouk reference for the
-library's recurrence.
+long division are schoolbook loops of field operations. `order_of_x` walks
+the powers of x modulo f with that division over plain integers mod p
+(`IntegersMod`). Everything here is independent of the defining-set
+calculus and the weight kernels under test, except `css_pairs`, the
+all-pairs reference for the css search, which asks `contains` (sets and
+both polynomial divisions) of every pair of codes. `macwilliams_transform`
+is the closed-form Krawtchouk reference for the library's recurrence.
 """
 
 from __future__ import annotations
@@ -205,3 +206,36 @@ def poly_div_rem(a: Sequence[int], b: Sequence[int], field) -> tuple[list[int], 
         while rem and rem[-1] == 0:
             rem.pop()
     return quot, rem
+
+
+class IntegersMod:
+    """GF(p) as plain integers mod p, with the `Field` methods the polynomial
+    oracles call; it needs no modulus and builds no tables."""
+
+    def __init__(self, p: int):
+        self.p = self.q = p
+
+    def add_i(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub_i(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def mul_i(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv_i(self, a: int) -> int:
+        return pow(a, -1, self.p)
+
+
+def order_of_x(f: Sequence[int], p: int) -> int | None:
+    """The multiplicative order of x modulo the monic f over GF(p): multiply by
+    x and reduce with `poly_div_rem` until the residue is 1. None when no
+    power of x is 1 (deg f < 1, or x shares a factor with f); a unit's order
+    is at most p^deg f - 1, the number of nonzero residues."""
+    zp, residue = IntegersMod(p), [1]
+    for k in range(1, p ** (len(f) - 1)):
+        residue = poly_div_rem([0] + residue, f, zp)[1]
+        if residue == [1]:
+            return k
+    return None

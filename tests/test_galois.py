@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
 import pytest
 
+import oracle
 from asymqec import galois
 from asymqec.galois import (
     clear_modulus_overrides,
@@ -284,3 +286,76 @@ def test_failed_environment_table_raises_on_every_field(tmp_path, monkeypatch):
         assert galois._env_loaded
     finally:
         clear_modulus_overrides()
+
+
+def _monic(p: int, m: int):
+    """Every monic polynomial of degree m over GF(p), ascending coefficients,
+    in lexicographic order from the highest degree down."""
+    for lower in itertools.product(range(p), repeat=m):
+        yield tuple(reversed(lower)) + (1,)
+
+
+def _reducible(f: tuple[int, ...], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1 .. deg f // 2;
+    constants count as reducible, as the modulus check words them."""
+    zp = oracle.IntegersMod(p)
+    m = len(f) - 1
+    return m < 1 or any(not oracle.poly_div_rem(list(f), list(g), zp)[1]
+                        for d in range(1, m // 2 + 1) for g in _monic(p, d))
+
+
+@pytest.mark.parametrize("p,top", [(2, 4), (3, 4), (5, 3), (7, 3)])
+def test_modulus_check_accepts_exactly_the_polynomials_where_x_has_full_order(p, top):
+    for m in range(top + 1):
+        for f in _monic(p, m):
+            if oracle.order_of_x(f, p) == p ** m - 1:
+                assert galois._validated_modulus(p, m, f) == f
+                continue
+            reason = "is not irreducible" if _reducible(f, p) else "is irreducible but not primitive"
+            with pytest.raises(ValueError, match=re.escape(f"modulus {f} {reason} over GF({p})")):
+                galois._validated_modulus(p, m, f)
+
+
+def test_default_modulus_is_the_first_polynomial_where_x_has_full_order():
+    pairs = [(p, m) for p in range(2, 1 << 10) if galois.is_prime(p)
+             for m in range(1, 11) if p ** m <= 1 << 10]
+    assert len(pairs) == 198
+    for p, m in pairs:
+        first = next(f for f in _monic(p, m) if oracle.order_of_x(f, p) == p ** m - 1)
+        assert default_modulus(p, m) == first, (p, m)
+
+
+def test_modulus_table_rejects_a_constant_modulus(tmp_path):
+    from asymqec.galois import load_modulus_table
+
+    table = tmp_path / "moduli.txt"
+    # primitivity alone would pass it: q - 1 = 0 has no prime factors, and x^0 = 1
+    table.write_text("2 0 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{table}:1: modulus (1,) is not irreducible")):
+        load_modulus_table(str(table))
+    assert galois._overrides == {}
+    assert make_field(2, 4).modulus == (1, 1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("p,m", [(3, 11), (5, 7)])
+def test_table_free_product_is_the_schoolbook_product_reduced_by_the_modulus(p, m):
+    field = make_field(p, m)
+    assert field._log is None
+    zp = oracle.IntegersMod(p)
+    rng = random.Random(31 * p + m)
+    for _ in range(500):
+        a, b = rng.randrange(1, field.q), rng.randrange(1, field.q)
+        digits_a, digits_b = ([x // p ** i % p for i in range(m)] for x in (a, b))
+        product = oracle.poly_mul(digits_a, digits_b, zp)
+        residue = oracle.poly_div_rem(product, list(field.modulus), zp)[1]
+        assert field.mul_i(a, b) == sum(d * p ** i for i, d in enumerate(residue))
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (7, 2), (13, 1)])
+def test_antilog_table_is_the_successive_alpha_multiples(p, m):
+    field = make_field(p, m)
+    powers = [1]
+    for _ in range(2 * (field.q - 1) - 1):
+        powers.append(field._mul_raw(powers[-1], field.alpha.value))
+    assert field._exp == powers
+    assert all(field._log[v] == i for i, v in enumerate(powers[: field.q - 1]))
