@@ -16,6 +16,10 @@ Every distance is read off two facts cached per code:
   k <= n - k, otherwise the MacWilliams transform (Krawtchouk columns by
   their three-term recurrence) of the dual's distribution.
 
+A full walk (no cap, no early stop) over characteristic 2 of at least
+`_SLICE_MIN` rows counts its words in 2^min(rows, `_SLICE_MAX`) lanes of big
+ints instead, the other rows walked outside them (`bitslice`).
+
 A cyclic code is the direct sum of minimal ideals M_s, one per cyclotomic
 coset s of its nonzeros. On M_s = GF(q^d) a cyclic shift multiplies by
 alpha^s, so shifts and scalars permute M_s minus 0 freely in orbits of
@@ -55,7 +59,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import galois
+from . import bitslice, galois
 from .cyclic import CyclicCode, from_defining_set
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
 from .polyring import CyclotomicCoset, cyclotomic_cosets
@@ -68,6 +72,10 @@ _INF = 1 << 62
 #: walk steps that marking one word of a minimal ideal costs (3.1-4.0 measured
 #: over GF(2), 3.7 over GF(4), 1.0-1.7 over GF(3), each against a Gray step)
 _MARK_STEPS = 4
+
+#: rows from which full characteristic-2 walks run in lanes (at 10 rows faster for every
+#: n, m measured but n >= 127 over GF(2) and n = 255 over GF(4)), and the most held as lanes
+_SLICE_MIN, _SLICE_MAX = 10, 12
 
 Distribution = tuple[tuple[int, int], ...]
 
@@ -116,15 +124,10 @@ def _lane_bits(p: int) -> int:
     return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
-def _lanes(lanes: int, width: int, value: int) -> int:
-    """`value` in each of the low `lanes` lanes of `width` bits."""
-    return value * ((1 << lanes * width) - 1) // ((1 << width) - 1)
-
-
 def _guards(lanes: int, p: int) -> tuple[int, int, int]:
     """(L, 2^L - p in every lane, the guard bit of every lane) for odd p."""
-    bit = _lane_bits(p) - 1
-    return bit, _lanes(lanes, bit + 1, (1 << bit) - p), _lanes(lanes, bit + 1, 1 << bit)
+    bit, spread = _lane_bits(p) - 1, bitslice.lanes
+    return bit, spread(lanes, bit + 1, (1 << bit) - p), spread(lanes, bit + 1, 1 << bit)
 
 
 def _adder(n: int, p: int, m: int) -> Callable[[int, int], int]:
@@ -203,8 +206,12 @@ def _plane_walk(starts: Iterable[int], rows: Sequence[int], n: int, field: galoi
     `rows` in Gray order, at most `cap` words per start and stopping after the
     first of weight <= lb; returns the words walked. The steps and the plane
     fold are set up once for all starts. A weight is the popcount of the OR of
-    the m planes' nonzero lanes."""
+    the m planes' nonzero lanes. Full walks over characteristic 2 of at least
+    `_SLICE_MIN` rows go to `bitslice.walk`, in any order; the rest walk here."""
     p, m = field.p, field.m
+    if p == 2 and lb < 0 and len(rows) >= _SLICE_MIN and cap >= 1 << len(rows):
+        low = min(len(rows), _SLICE_MAX)
+        return bitslice.walk(starts, rows[:low], _steps(rows[low:], 2), n, m, counts)
     limit, width, reached = min(cap, p ** len(rows)), _lane_bits(p), 0
     while p**reached < limit:  # steps t < limit add only rows[v_p(t)] with p^v_p(t) <= t
         reached += 1
@@ -442,7 +449,7 @@ def _plane_orbits(ideal: CyclicCode, coset: CyclotomicCoset, size: int) -> tuple
     plane = n * width
     add = _adder(n, p, m)
     full = (1 << m * plane) - 1
-    wrap = _lanes(m, plane, (1 << width) - 1)  # coordinate 0 of each plane
+    wrap = bitslice.lanes(m, plane, (1 << width) - 1)  # coordinate 0 of each plane
     keep, last = full ^ wrap, plane - width
     # alpha * y: plane c moves to c + 1 and the top plane folds back through
     # x^m = -(the lower terms of the modulus), one addition per unit

@@ -10,7 +10,9 @@ from collections import Counter
 import pytest
 
 import oracle
+import asymqec.bitslice
 import asymqec.weights
+from asymqec import cli
 from test_polyring import ORACLE_FIELDS
 from asymqec.cyclic import (
     bch,
@@ -25,7 +27,7 @@ from asymqec.cyclic import (
 )
 from asymqec.errors import BudgetExceeded, InternalConsistencyError, NotNested
 from asymqec.galois import make_field
-from asymqec.polyring import coset_of
+from asymqec.polyring import coset_of, coset_unions, cyclotomic_cosets, mask_residues
 from asymqec.search import all_cyclic_codes
 from asymqec.weights import (
     macwilliams_transform,
@@ -340,8 +342,8 @@ def test_qary_kernels_against_brute_force_span(n, q):
             assert report.enumerated == scanned + sum(messages(c) for c in walked)
 
 
-@pytest.mark.parametrize("n,q", [(8, 3), (13, 3), (9, 4), (6, 5), (8, 7), (7, 8), (10, 9),
-                                 (5, 16)])
+@pytest.mark.parametrize("n,q", [(8, 3), (13, 3), (9, 4), (15, 4), (6, 5), (8, 7), (7, 8),
+                                 (10, 9), (5, 16)])
 def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
     real_walk = asymqec.weights._plane_walk
     calls = []
@@ -396,6 +398,83 @@ def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
         assert walked == len(words)
         histogram = Counter(oracle.weight_q(w) for w in words)
         assert added == [histogram[w] for w in range(n + 1)]
+
+
+def test_lanes_match_the_division_formula():
+    # the shapes of `_guards` (2^L - p and the guard bit 2^L in lanes of L + 1
+    # bits), of `_plane_orbits` (low bits of a wider lane) and of the lane
+    # patterns (the upper half of a lane)
+    for width in range(1, 10):
+        values = {1 << width - 1, *((1 << k) - 1 for k in range(1, width + 1))}
+        values |= {(1 << width - 1) - p for p in range(3, 1 << width, 2)
+                   if asymqec.weights._lane_bits(p) == width}
+        if width % 2 == 0:
+            values.add(((1 << width // 2) - 1) << width // 2)
+        for lanes in range(1, 65):
+            for value in values:
+                assert asymqec.bitslice.lanes(lanes, width, value) == (
+                    value * ((1 << lanes * width) - 1) // ((1 << width) - 1)), (lanes, width, value)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 256])
+@pytest.mark.parametrize("n", [1, 7, 64, 127, 255])
+def test_sliced_walk_matches_the_word_walk(n, q, monkeypatch):
+    weights = asymqec.weights
+    field = make_field(2, q.bit_length() - 1)
+    m, rng = field.m, random.Random(1000 * q + n)
+    top = (1 << m * n) - 1
+    for count in (weights._SLICE_MIN - 1, weights._SLICE_MIN, weights._SLICE_MAX,
+                  weights._SLICE_MAX + 3):  # the last walks outer words
+        rows = [rng.getrandbits(m * n) for _ in range(count)]
+        for starts in ([0], [top], [rng.getrandbits(m * n)],
+                       [0, top, rng.getrandbits(m * n), rng.getrandbits(m * n)]):
+            sliced, by_word = [0] * (n + 1), [0] * (n + 1)
+            monkeypatch.setattr(weights, "_SLICE_MIN", 0)
+            walked = weights._plane_walk(starts, rows, n, field, sliced, weights._INF)
+            monkeypatch.setattr(weights, "_SLICE_MIN", 1 << 20)
+            assert walked == weights._plane_walk(starts, rows, n, field, by_word, weights._INF)
+            monkeypatch.undo()
+            assert sliced == by_word, (count, starts)
+            if (1 << count) * count * n <= 1 << 17:
+                unpacked = [oracle.unpack_planes(r, n, field, 1) for r in rows]
+                histogram = Counter(
+                    oracle.weight_q(w) for start in starts
+                    for w in oracle.combinations(oracle.unpack_planes(start, n, field, 1),
+                                                 unpacked, field))
+                assert sliced == [histogram[w] for w in range(n + 1)]
+
+
+@pytest.mark.parametrize("n,q", [(31, 2), (15, 4), (21, 4), (9, 8), (15, 16)])
+def test_reports_do_not_depend_on_the_lanes(n, q, monkeypatch):
+    # every code whose cheaper side has at most 2^16 words
+    codes = [from_defining_set(n, q, mask_residues(mask))
+             for mask in coset_unions(cyclotomic_cosets(n, q))
+             if q ** min(mask.bit_count(), n - mask.bit_count()) <= 1 << 16]
+
+    def reports():
+        fresh()
+        return [(min_weight(c)[:3] if c.k else None, weight_distribution(c)) for c in codes]
+
+    sliced = reports()
+    monkeypatch.setattr(asymqec.weights, "_SLICE_MIN", 1 << 20)
+    assert reports() == sliced
+    fresh()
+
+
+@pytest.mark.parametrize("descriptor", ["bch:n=127,q=2,delta=7", "rs:q=16,delta=5"])
+def test_full_walks_take_the_lanes(descriptor, monkeypatch, capsys):
+    real, calls = asymqec.bitslice.walk, []
+
+    def counting_walk(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(asymqec.bitslice, "walk", counting_walk)
+    fresh()
+    assert cli.main(["code", descriptor, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls
+    fresh()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
