@@ -6,13 +6,13 @@ as published. Each row's classical inputs are rebuilt (narrow-sense BCH by
 designed distance where the stated dimension matches; otherwise an
 exhaustive search over coset-union defining sets with the stated dimension,
 subject to the nesting premise), the quantum code is derived, and the
-computed parameters are compared with the printed ones. The search builds
+computed parameters are compared with the printed ones. The search takes
 only the unions whose size is the stated redundancy n - k, as sums of
-same-size cosets: row 9's C2 builds 6,435 of the 65,536 unions of its 16
-allowed cosets, and ranks them by consecutive-run bound `_LANES` at a time,
-one lane of a single int each. Where the stated distance is beyond
-verification only the three best unions and their count are kept, not the
-whole ranked list.
+same-size cosets: row 9's C2 ranks 6,435 of the 65,536 unions of its 16
+allowed cosets by consecutive-run bound, `_LANES` at a time in the lanes of
+one int, packed from memoized combination blocks rather than built one int
+per union. Where the stated distance is beyond verification only the three
+best unions and their count are kept, not the whole ranked list.
 
     REPRODUCED      n, k and both distances match exactly, distances exhaustive
     PARTIAL         n, k match; a distance is only available as a lower bound
@@ -24,7 +24,7 @@ Verdicts are deterministic across runs.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, islice, product, repeat
+from itertools import combinations, compress, product
 from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -95,18 +95,10 @@ class RowAudit(NamedTuple):
     notes: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "row": self.index,
-            "q": self.q,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c1_printed": self.c1_printed,
-            "c2_printed": self.c2_printed,
-            "expected": self.expected,
-            "computed": self.computed.as_dict() if self.computed else None,
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
+        """The fields in order, `index` as "row"."""
+        return dict(zip(("row",) + self._fields[1:], self),
+                    computed=self.computed.as_dict() if self.computed else None,
+                    notes=list(self.notes))
 
 
 def _union_blocks(target: int,
@@ -122,20 +114,61 @@ def _union_blocks(target: int,
             if sum(size * count for size, count in zip(sizes, counts)) == target]
 
 
-def _unions(block: Sequence[tuple[list[int], int]], acc: int = 0) -> Iterator[int]:
-    """The unions of one block, one at a time; cosets are disjoint, so each sum is a union."""
-    if not block:
-        return iter((acc,))
-    (masks, count), *rest = block
-    sums = map(acc.__add__, map(sum, combinations(masks, count)))
-    return chain.from_iterable(_unions(rest, s) for s in sums) if rest else sums
+def _lane_chunks(n: int, blocks: list) -> Iterator[tuple[int, int]]:
+    """The unions of `blocks` in nested `combinations` order, `_LANES` at a
+    time: (an int with a union in each `n // 8 + 1`-byte lane, lowest first;
+    its lane count). The outer size classes and the upper levels of the last
+    class's combination tree are walked one choice at a time; once the
+    `combinations(masks[j:], c)` left fit in a chunk, their lanes come packed
+    from a memo, with the union chosen above added to every lane."""
+    bits = 8 * (n // 8 + 1)
+    # a 1 in each lane; shifted down, a 1 in each of its low lanes
+    ones = int.from_bytes(b"\1".ljust(bits // 8, b"\0") * _LANES, "little")
+    x = filled = 0
+    for block in blocks:
+        *outer, (masks, take) = block or [([], 0)]  # no classes: the empty union
+        last = len(masks)
+        # (lanes, lanes packed) of each combinations(masks[j:], c) that fits in a chunk,
+        # for the j >= take - c the walk can reach
+        packed = {(j, 0): (1, 0) for j in range(last + 1)}
+        for c in range(1, take + 1):
+            for j in range(last - c, take - c - 1, -1):
+                if comb(last - j, c) > _LANES:
+                    break
+                lanes = packs = 0
+                for i in range(j, last - c + 1):
+                    sub, sub_packs = packed[i + 1, c - 1]
+                    packs |= (masks[i] * (ones >> bits * (_LANES - sub)) + sub_packs) << bits * lanes
+                    lanes += sub
+                packed[j, c] = lanes, packs
+        for choice in product(*(combinations(m, t) for m, t in outer)):
+            for lanes, packs, prefix in _pieces(masks, packed, 0, take, sum(map(sum, choice))):
+                # a piece has at most `_LANES` lanes, so it crosses at most one boundary
+                x |= (prefix * (ones >> bits * (_LANES - lanes)) + packs) << bits * filled
+                filled += lanes
+                if filled >= _LANES:
+                    yield x & ((1 << bits * _LANES) - 1), _LANES
+                    x >>= bits * _LANES
+                    filled -= _LANES
+    if filled:
+        yield x, filled
+
+
+def _pieces(masks: list, packed: dict, j: int, c: int, prefix: int) -> Iterator[tuple]:
+    """(lanes, lanes packed, prefix to add to each) covering combinations(masks[j:], c)
+    in order: one packed block, or the pieces under each first member in turn."""
+    if (j, c) in packed:
+        yield (*packed[j, c], prefix)
+    else:
+        for i in range(j, len(masks) - c + 1):
+            yield from _pieces(masks, packed, i + 1, c - 1, prefix + masks[i])
 
 
 def _candidate_sets(n: int, target: int, allowed: Sequence[CyclotomicCoset]) -> list[int]:
     """Residue bitmasks of the unions of `allowed` cosets with exactly `target`
     members, ranked by falling designed-distance bound, then by bitmask.
 
-    Only unions of that size are built: the cosets are grouped by size, and
+    Only unions of that size are ranked: the cosets are grouped by size, and
     for each choice of how many cosets to take of each size that adds up to
     `target`, the unions are sums of `combinations` within each size class.
     """
@@ -147,26 +180,24 @@ def _best_candidates(n: int, target: int, allowed: Sequence[CyclotomicCoset],
     """(number of candidate sets, the first `keep` of `_candidate_sets`, or
     all of them when `keep` is None).
 
-    The unions are ranked `_LANES` at a time, each packed as one `width`-byte
-    lane of a single int: n residue bits and at least one zero guard bit
-    above them. One rotate-and-AND of the whole int takes every lane one step
-    further, as `consecutive_run_bound_mask` does for one mask, so a lane
-    still nonzero after r steps has bound at least r + 2. Adding all-ones
-    below each guard bit carries into the guard exactly in the nonzero lanes,
-    so the lanes' top bytes say which are alive. The lanes that die at one
-    step form a tier of equal bound; tiers are read from the top until `keep`
-    masks are held, and once `keep` are held, steps below the `keep`-th bound
-    are no longer kept.
+    The unions are ranked in the chunks of `_lane_chunks`, each a `width`-byte
+    lane of one int: n residue bits, at least one zero guard bit above. One
+    rotate-and-AND of the whole int takes every lane one step further, as
+    `consecutive_run_bound_mask` does for one mask, so a lane still nonzero
+    after r steps has bound at least r + 2. Adding all-ones below each guard
+    bit carries into the guard exactly in the nonzero lanes, so the lanes'
+    top bytes say which are alive. The lanes that die at one step form a tier
+    of equal bound, read out of the chunk as masks; tiers are read from the
+    top until `keep` masks are held, and once `keep` are held, steps below
+    the `keep`-th bound are no longer kept.
     """
     blocks = _union_blocks(target, allowed)
     count = sum(prod(comb(len(masks), take) for masks, take in block) for block in blocks)
     keep = count if keep is None else keep
-    unions = chain.from_iterable(map(_unions, blocks))
-    width = n // 8 + 1
+    width, full = n // 8 + 1, (1 << n) - 1
     # the best `keep` so far, each as its sort key: (n + 1 - bound) above the mask's n bits
     best: list[int] = []
-    for chunk in iter(lambda: list(islice(unions, _LANES)), []):
-        lanes = len(chunk)
+    for chunk, lanes in _lane_chunks(n, blocks):
         unit = int.from_bytes(b"\1".ljust(width, b"\0") * lanes, "little")
         guard = unit << (8 * width - 1)
         hi, low = ((1 << n) - 2) * unit, guard - unit
@@ -175,9 +206,7 @@ def _best_candidates(n: int, target: int, allowed: Sequence[CyclotomicCoset],
         # lane is still nonzero; the leading all-alive entry stands for step -1,
         # so the empty union, dead at step 0, gets bound 1
         alive = [int.from_bytes(b"\x80" * lanes, "little")] if floor <= 1 else []
-        x = int.from_bytes(b"".join(map(int.to_bytes, chunk, repeat(width), repeat("little"))),
-                           "little")
-        step = 0
+        x, step = chunk, 0
         while True:
             if step + 2 >= floor:
                 alive.append(int.from_bytes(
@@ -190,7 +219,8 @@ def _best_candidates(n: int, target: int, allowed: Sequence[CyclotomicCoset],
             step += 1
         bound, later, taken = step + 2, 0, 0
         for now in reversed(alive):
-            tier = list(compress(chunk, (now ^ later).to_bytes(lanes, "little")))
+            tier = [chunk >> 8 * width * i & full
+                    for i in compress(range(lanes), (now ^ later).to_bytes(lanes, "little"))]
             best.extend(map(((n + 1 - bound) << n).__or__, tier))
             taken += len(tier)
             if taken >= keep:
@@ -200,7 +230,7 @@ def _best_candidates(n: int, target: int, allowed: Sequence[CyclotomicCoset],
             best.sort()
             del best[keep:]
     best.sort()
-    return count, list(map(((1 << n) - 1).__and__, best))
+    return count, list(map(full.__and__, best))
 
 
 def _resolve_narrow_sense(n: int, q: int, k: int, d: int) -> CyclicCode | None:
@@ -284,28 +314,23 @@ def audit_row(row: ReferenceRow, budget: int = DEFAULT_BUDGET) -> RowAudit:
         )
 
     _, exp_k, exp_dz, exp_dx = row.aqec
-    best: AqecParams | None = None
-    chosen: CyclicCode | None = None
-    for cand in c1_candidates:
-        params = css_aqec(cand, c2, budget)
-        if best is None:
-            best, chosen = params, cand
-        if (params.k, params.dz.value, params.dx.value) == (exp_k, exp_dz, exp_dx) \
-                and params.dz.is_exact and params.dx.is_exact:
-            best, chosen = params, cand
-            break
-    params = best
-    c1 = chosen
 
-    exact = params.dz.is_exact and params.dx.is_exact
-    if exact and (params.k, params.dz.value, params.dx.value) == (exp_k, exp_dz, exp_dx):
+    def reproduces(p: AqecParams) -> bool:
+        return (p.dz.is_exact and p.dx.is_exact
+                and (p.k, p.dz.value, p.dx.value) == (exp_k, exp_dz, exp_dx))
+
+    # the first C1 candidate that reproduces the row, else the first candidate
+    tried = []
+    for cand in c1_candidates:
+        tried.append((css_aqec(cand, c2, budget), cand))
+        if reproduces(tried[-1][0]):
+            break
+    params, c1 = tried[-1] if reproduces(tried[-1][0]) else tried[0]
+
+    if reproduces(params):
         verdict = REPRODUCED
-    elif (
-        params.k == exp_k
-        and not exact
-        and params.dz.value <= exp_dz
-        and params.dx.value <= exp_dx
-    ):
+    elif (params.k == exp_k and not (params.dz.is_exact and params.dx.is_exact)
+          and params.dz.value <= exp_dz and params.dx.value <= exp_dx):
         verdict = PARTIAL
         notes.append(
             f"distances only bounded at this scale: dz >= {params.dz.value}, "
@@ -324,23 +349,16 @@ def audit_row(row: ReferenceRow, budget: int = DEFAULT_BUDGET) -> RowAudit:
 
 def _cross_row_notes(audits: list[RowAudit]) -> list[RowAudit]:
     """Flag duplicated classical inputs and self-inconsistent printed rows."""
-    by_inputs: dict[tuple, list[int]] = {}
     rows = {row.index: row for row in REFERENCE_TABLE}
-    for row in REFERENCE_TABLE:
-        key = (row.q, row.c1, row.c2)
-        by_inputs.setdefault(key, []).append(row.index)
     out = []
     for audit in audits:
         notes = list(audit.notes)
         row = rows[audit.index]
-        twins = [i for i in by_inputs[(row.q, row.c1, row.c2)] if i != audit.index]
+        twins = [str(r.index) for r in REFERENCE_TABLE
+                 if r.index != row.index and (r.q, r.c1, r.c2) == (row.q, row.c1, row.c2)]
         if twins:
-            notes.append(
-                "identical classical inputs as row "
-                + ", ".join(str(i) for i in twins)
-            )
-        _, _, dz, _ = row.aqec
-        d2 = row.c2[2]
+            notes.append("identical classical inputs as row " + ", ".join(twins))
+        dz, d2 = row.aqec[2], row.c2[2]
         if dz < d2:
             notes.append(
                 f"printed dz={dz} is below the printed minimum distance {d2} of the "

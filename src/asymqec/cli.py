@@ -284,10 +284,8 @@ def _parse_rows(text: str) -> list[int]:
 
 def _audit_flat(a: RowAudit) -> dict:
     """One CSV row of a table1 audit: the computed code as its label, notes joined."""
-    return {"row": a.index, "verdict": a.verdict, "expected": a.expected,
-            "computed": a.computed.label() if a.computed else "",
-            "c1_printed": a.c1_printed, "c2_printed": a.c2_printed,
-            "c1": a.c1, "c2": a.c2, "notes": "; ".join(a.notes)}
+    return dict(a.as_dict(), computed=a.computed.label() if a.computed else "",
+                notes="; ".join(a.notes))
 
 
 _AUDIT_FIELDS = ["row", "verdict", "expected", "computed", "c1_printed", "c2_printed",

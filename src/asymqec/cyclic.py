@@ -364,14 +364,14 @@ def repetition(n: int, q: int) -> CyclicCode:
 
 
 def bch(n: int, q: int, delta: int, b: int = 1) -> CyclicCode:
-    """BCH code of designed distance delta: T is the coset closure of
-    {b, b+1, ..., b+delta-2}. Narrow sense is b = 1."""
+    """BCH code of designed distance delta: T is the union of the cosets
+    that meet {b, b+1, ..., b+delta-2} mod n. Narrow sense is b = 1."""
     if not 2 <= delta <= n:
         raise ValueError(f"designed distance delta={delta} out of range 2..{n}")
-    members: set[int] = set()
-    for i in range(b, b + delta - 1):
-        members.update(coset_of(n, q, i).members)
-    return from_defining_set(n, q, members)
+    run = {i % n for i in range(b, b + delta - 1)}
+    return from_defining_set(n, q, frozenset(s for coset in cyclotomic_cosets(n, q)
+                                              if not run.isdisjoint(coset.members)
+                                              for s in coset.members))
 
 
 def rs(q: int, delta: int, b: int = 1) -> CyclicCode:
@@ -442,14 +442,7 @@ class CheckMatrix(NamedTuple):
         """Rows as integer bitmasks (characteristic 2 only)."""
         if self.field.p != 2 or self.field.m != 1:
             raise ValueError("bitmask rows are only defined over GF(2)")
-        out = []
-        for row in self.rows:
-            mask = 0
-            for i, c in enumerate(row):
-                if c:
-                    mask |= 1 << i
-            out.append(mask)
-        return tuple(out)
+        return tuple(sum(1 << i for i, c in enumerate(row) if c) for row in self.rows)
 
     def syndrome(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.n:

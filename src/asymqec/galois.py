@@ -80,18 +80,13 @@ def is_prime(n: int) -> bool:
 
 def prime_power(q: int) -> tuple[int, int]:
     """Split q = p^s with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"q={q} is not a prime power")
-    ps = prime_factors(q)
+    ps = prime_factors(q)  # () for q < 2
     if len(ps) != 1:
         raise ValueError(f"q={q} is not a prime power")
-    p = ps[0]
-    s = 0
-    while q % p == 0:
+    p, s = ps[0], 0
+    while q > 1:
         q //= p
         s += 1
-    if q != 1:
-        raise ValueError("not a prime power")
     return p, s
 
 
@@ -207,6 +202,15 @@ def _encode_digits(digits: Sequence[int], p: int) -> int:
     return value
 
 
+def _check_field_size(p: int, m: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if m < 1:
+        raise ValueError(f"extension degree m={m} must be >= 1")
+    if p ** m > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {p}^{m} exceeds the supported bound {MAX_FIELD_SIZE}")
+
+
 @lru_cache(maxsize=None)
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic primitive polynomial of degree m over GF(p).
@@ -215,12 +219,7 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     down, which for the integer encoding used here is plain numeric order on
     the lower coefficients.
     """
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if m < 1:
-        raise ValueError(f"extension degree m={m} must be >= 1")
-    if p ** m > MAX_FIELD_SIZE:
-        raise ValueError(f"field size {p}^{m} exceeds the supported bound {MAX_FIELD_SIZE}")
+    _check_field_size(p, m)
     for enc in range(p ** m):
         f = tuple(_decode_digits(enc, p, m)) + (1,)
         if _is_primitive(f, p):
@@ -328,8 +327,7 @@ class Field:
         if self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
-            self._exp = None
-            self._log = None
+            self._exp = self._log = None
 
     def _build_tables(self) -> None:
         p, q, mod = self.p, self.q, self._mod_int
@@ -353,8 +351,7 @@ class Field:
         if v != 1:
             raise InternalConsistencyError(f"modulus of GF({self.q}) is not primitive")
         exp.extend(exp)  # a second period: a sum of two logs needs no reduction
-        self._exp = exp
-        self._log = log
+        self._exp, self._log = exp, log
 
     # -- raw residue arithmetic (no tables) --------------------------------
 
@@ -556,14 +553,7 @@ def make_field(p: int, m: int = 1, modulus: Sequence[int] | None = None) -> Fiel
     sizes, or a modulus that is not monic/irreducible/primitive.
     """
     _maybe_load_env_table()
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if m < 1:
-        raise ValueError(f"extension degree m={m} must be >= 1")
-    if p ** m > MAX_FIELD_SIZE:
-        raise ValueError(
-            f"field size {p}^{m} exceeds the supported bound {MAX_FIELD_SIZE}"
-        )
+    _check_field_size(p, m)
     if modulus is not None:
         mod = _validated_modulus(p, m, modulus)
     elif (p, m) in _overrides:

@@ -2,19 +2,19 @@
 
 GF(2) codeword sets are built by folding the span of generator rows
 (bitmask ints), duals by nullspace computation on those rows; GF(q) spans
-multiply every message with the generator rows; polynomial products and
-long division are schoolbook loops of field operations. `order_of_x` walks
-the powers of x modulo f with that division over plain integers mod p
-(`IntegersMod`). Everything here is independent of the defining-set
-calculus and the weight kernels under test, except `css_pairs`, the
-all-pairs reference for the css search, which asks `contains` (sets and
-both polynomial divisions) of every pair of codes. `macwilliams_transform`
-is the closed-form Krawtchouk reference for the library's recurrence.
+and combinations add every multiple of each row to the words built from
+the rows before it; polynomial products and long division are schoolbook
+loops of field operations. `order_of_x` walks the powers of x modulo f
+with that division over plain integers mod p (`IntegersMod`). Everything
+here is independent of the defining-set calculus and the weight kernels
+under test, except `css_pairs`, the all-pairs reference for the css
+search, which asks `contains` (sets and both polynomial divisions) of
+every pair of codes. `macwilliams_transform` is the closed-form
+Krawtchouk reference for the library's recurrence.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 from typing import Sequence
 
@@ -75,17 +75,20 @@ def weights_of(words: frozenset[int]) -> dict[int, int]:
     return counts
 
 
+def _add_multiples(words: list[tuple[int, ...]], rows: Sequence[Sequence[int]],
+                   scalars: range, field) -> list[tuple[int, ...]]:
+    """Each word plus every sum of `scalars` multiples of the rows, repeats
+    kept: one row at a time, the list so far plus each nonzero multiple of
+    the row added to every word in it."""
+    for row in rows:
+        multiples = [tuple(field.mul_i(m, x) for x in row) for m in scalars if m]
+        words = words + [tuple(map(field.add_i, w, mrow)) for mrow in multiples for w in words]
+    return words
+
+
 def span_q(rows: Sequence[Sequence[int]], n: int, field) -> frozenset[tuple[int, ...]]:
     """Every message times the generator rows, by plain GF(q) arithmetic."""
-    words = set()
-    for msg in itertools.product(range(field.q), repeat=len(rows)):
-        word = [0] * n
-        for m, row in zip(msg, rows):
-            if m:
-                for j, x in enumerate(row):
-                    word[j] = field.add_i(word[j], field.mul_i(m, x))
-        words.add(tuple(word))
-    return frozenset(words)
+    return frozenset(_add_multiples([(0,) * n], rows, range(field.q), field))
 
 
 def unpack_planes(packed: int, n: int, field, width: int) -> tuple[int, ...]:
@@ -109,28 +112,14 @@ def combinations(start: Sequence[int], rows: Sequence[Sequence[int]],
                  field) -> list[tuple[int, ...]]:
     """`start` plus each of the p^len(rows) GF(p) combinations of rows (p the
     characteristic), repeats kept."""
-    words = []
-    for digits in itertools.product(range(field.p), repeat=len(rows)):
-        word = list(start)
-        for a, row in zip(digits, rows):
-            for j, x in enumerate(row):
-                word[j] = field.add_i(word[j], field.mul_i(a, x))
-        words.append(tuple(word))
-    return words
+    return _add_multiples([tuple(start)], rows, range(field.p), field)
 
 
 def projective_classes(rows: Sequence[Sequence[int]], field) -> list[tuple[int, ...]]:
     """One word per projective class of the span of rows: per lead row, the
     lead row plus each GF(q) combination of the later rows."""
-    words = []
-    for lead in range(len(rows)):
-        for msg in itertools.product(range(field.q), repeat=len(rows) - lead - 1):
-            word = list(rows[lead])
-            for a, row in zip(msg, rows[lead + 1:]):
-                for j, x in enumerate(row):
-                    word[j] = field.add_i(word[j], field.mul_i(a, x))
-            words.append(tuple(word))
-    return words
+    return [word for lead in range(len(rows))
+            for word in _add_multiples([tuple(rows[lead])], rows[lead + 1:], range(field.q), field)]
 
 
 def weight_q(word: Sequence[int]) -> int:

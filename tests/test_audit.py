@@ -74,6 +74,38 @@ def test_candidate_sets_against_brute_force(monkeypatch, n, q, picked, targets):
                 assert _best_candidates(n, target, allowed, keep) == (count, expected[:keep])
 
 
+def _nested_unions(blocks):
+    """Per block, each union as the sum of one choice of nested `combinations`,
+    the first size class outermost: the lane order `_lane_chunks` packs."""
+    return [sum(map(sum, choice)) for block in blocks
+            for choice in itertools.product(*(itertools.combinations(masks, take)
+                                              for masks, take in block))]
+
+
+@pytest.mark.parametrize("n,q,picked,targets", [
+    # coset sizes 1, 2, 3 and 6: blocks of several size classes
+    pytest.param(63, 2, None, None, id="63-2-all"),
+    pytest.param(13, 3, None, None, id="13-3-all"),
+    pytest.param(127, 2, _cosets_avoiding_negated(bch(127, 2, 7)),
+                 (0, 7, 49, 50, 51, 113, 127), id="127-2-row9"),
+])
+def test_lane_chunks_match_nested_combinations(monkeypatch, n, q, picked, targets):
+    """The chunks' lanes, read in order, are the unions in nested
+    `combinations` order, with 1 to `_LANES` lanes and nothing above them."""
+    cosets = cyclotomic_cosets(n, q)
+    allowed = cosets if picked is None else [cosets[i] for i in picked]
+    bits = 8 * (n // 8 + 1)
+    for lanes in (audit_module._LANES, 1, 2, 3, 7):
+        monkeypatch.setattr(audit_module, "_LANES", lanes)
+        for target in range(n + 1) if targets is None else targets:
+            blocks = audit_module._union_blocks(target, allowed)
+            unpacked = []
+            for chunk, count in audit_module._lane_chunks(n, blocks):
+                assert 1 <= count <= lanes and chunk >> bits * count == 0
+                unpacked += [chunk >> bits * i & ((1 << bits) - 1) for i in range(count)]
+            assert unpacked == _nested_unions(blocks)
+
+
 def test_row9_ranking_traced_peak_stays_small():
     """Ranking row 9's 6,435 C2 candidates holds one chunk of lanes at a time,
     not every union in one int (about 1.7 MB traced)."""

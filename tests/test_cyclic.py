@@ -197,6 +197,18 @@ def test_bch_offset():
     assert shifted.T.sorted_members == (1, 2, 3, 4, 6, 8, 9, 12)
 
 
+@pytest.mark.parametrize("n,q", [(15, 2), (31, 2), (63, 2), (127, 2), (13, 3), (21, 4)])
+def test_bch_defining_set_is_the_closure_of_its_run(n, q):
+    """T is the union of the residues' own cosets, for b = 0, narrow sense
+    and a run that wraps past n."""
+    for b in (0, 1, n - 3):
+        for delta in range(2, n + 1):
+            closure = set()
+            for i in range(b, b + delta - 1):
+                closure.update(coset_of(n, q, i).members)
+            assert bch(n, q, delta, b).T.members == closure
+
+
 def test_rs_parameters():
     code = rs(8, 3)
     assert (code.n, code.q, code.k) == (7, 8, 5)
