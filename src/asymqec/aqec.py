@@ -37,6 +37,7 @@ from .cyclic import (
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
 from .polyring import Polynomial, render_poly
 from .weights import (
+    _PAIR_CACHE,
     DEFAULT_BUDGET,
     WeightReport,
     bound_only_report,
@@ -179,7 +180,11 @@ def _nested_dual(c1: CyclicCode, c2: CyclicCode) -> CyclicCode:
 
 def _css(c1: CyclicCode, c2: CyclicCode, budget: int,
          purity: bool | None) -> tuple[int, WeightReport, WeightReport, bool | None]:
-    """(k, dz, dx, pure) of the nested pair; the ordering rule lives here."""
+    """(k, dz, dx, pure) of the nested pair; the ordering rule lives here.
+
+    Every call checks nesting and k; the sides and purity of a pair whose
+    mirror (C2, C1) was derived before are that mirror's, swapped.
+    """
     c1.T.check_matching(c2.T)
     c2perp = _nested_dual(c1, c2)
     n = c1.n
@@ -191,17 +196,24 @@ def _css(c1: CyclicCode, c2: CyclicCode, budget: int,
             f"dimension routes disagree: k1+k2-n={k}, dim difference={k_dims}, "
             f"set difference={k_sets}"
         )
-    # C2-dual inside C1 means C1-dual inside C2: the one check covers both sides
-    side1 = _difference_side(c1, c2perp, budget)  # X-side weight
-    side2 = _difference_side(c2, c1.dual(), budget)  # Z-side weight
+    hit = _PAIR_CACHE.pop((c2, c1, budget, purity), None)
+    if hit is not None:
+        side2, side1, pure = hit
+    else:
+        # C2-dual inside C1 means C1-dual inside C2: the one check covers both sides
+        side1 = _difference_side(c1, c2perp, budget)  # X-side weight
+        side2 = _difference_side(c2, c1.dual(), budget)  # Z-side weight
+        pure = None
+        if (purity if purity is not None else n <= PURITY_AUTO_LIMIT):
+            pure = _evaluate_purity(side1, side2, c1, c2, budget)
+        _PAIR_CACHE[c1, c2, budget, purity] = side1, side2, pure
     # a bound ranks after an exact side of equal value, and dz is only as
     # exact as dx: an unknown smaller side could otherwise undercut dx
-    dx, dz = sorted((side1, side2), key=lambda r: (r.value, not r.is_exact))
+    dx, dz = side1, side2
+    if (side2.value, not side2.is_exact) < (side1.value, not side1.is_exact):
+        dx, dz = side2, side1
     if not dx.is_exact:
         dz = dz._replace(method="bound-only")
-    pure = None
-    if (purity if purity is not None else n <= PURITY_AUTO_LIMIT):
-        pure = _evaluate_purity(side1, side2, c1, c2, budget)
     return k, dz, dx, pure
 
 

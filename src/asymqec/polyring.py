@@ -459,8 +459,8 @@ def factor_xn_minus_1(n: int, q: int) -> tuple[tuple[CyclotomicCoset, Polynomial
     each factor is multiplied in one pass over a coefficient list rather than
     one `Polynomial` product per root, which pays a fixed cost d times per
     coset. Every coefficient must land in the embedded copy of GF(q), and
-    the factors must multiply to x^n - 1; anything else raises
-    InternalConsistencyError rather than being silently truncated.
+    the factors, multiplied pairwise in a balanced tree, must give x^n - 1;
+    anything else raises InternalConsistencyError, never a truncated result.
     """
     cosets = cyclotomic_cosets(n, q)
     ext, alpha = nth_root_field(n, q)
@@ -468,7 +468,6 @@ def factor_xn_minus_1(n: int, q: int) -> tuple[tuple[CyclotomicCoset, Polynomial
     _, lift = subfield_embedding(base, ext)
     add, mul, exp, log = ext.add_i, ext.mul_i, ext._exp, ext._log
     factors = []
-    product = Polynomial.one(base)
     for coset in cosets:
         coeffs = [1]
         for i in coset.members:
@@ -489,8 +488,11 @@ def factor_xn_minus_1(n: int, q: int) -> tuple[tuple[CyclotomicCoset, Polynomial
                 f"minimal polynomial coefficient {exc} of coset {coset} not in GF({q})"
             ) from None
         factors.append((coset, factor))
-        product = product * factor
-    if product != Polynomial.monomial(base, n) - Polynomial.one(base):
+    product = [factor for _, factor in factors]
+    while len(product) > 1:  # an odd last factor waits a level
+        product = [*map(Polynomial.__mul__, product[::2], product[1::2]),
+                   *product[len(product) & ~1:]]
+    if product[0] != Polynomial.monomial(base, n) - Polynomial.one(base):
         raise InternalConsistencyError(
             f"minimal polynomials of (n={n}, q={q}) do not multiply to x^{n} - 1"
         )

@@ -4,14 +4,17 @@ Codes and partners are coset unions from one enumerator (`coset_unions`);
 the space doubles per coset, so a cap guards against unusable lengths.
 Pairs are built, not filtered: C2-dual lies in C1 exactly when T(C1) lies
 in T(C2-dual), so the css partners of C2 are the unions inside T(C2-dual),
-and each derivation still checks its own nesting and dimensions. An
-extend-set block T is derived once per T union -T, which alone fixes C2.
+and each derivation still checks its own nesting and dimensions. C2 of
+the extend-set route depends on T only through T union -T, so that route
+enumerates subsets of the +-classes {s, -s} of the admissible cosets, one T
+(all admissible cosets of the chosen classes) per block.
 Duplicates are suppressed and results come back sorted by falling distance
 asymmetry dz - dx, then falling logical dimension, then defining sets.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from .aqec import (
@@ -46,11 +49,6 @@ def _cosets_within(cosets: Sequence[CyclotomicCoset],
                    members: frozenset[int]) -> list[CyclotomicCoset]:
     """The cosets inside a coset-closed residue set."""
     return [c for c in cosets if c.representative in members]
-
-
-def _negated(mask: int, n: int) -> int:
-    """Bitmask of -T mod n, for T the residues set in `mask`."""
-    return sum(1 << -s % n for s in mask_residues(mask))
 
 
 def _sort_key(params: AqecParams | SubsystemParams):
@@ -111,15 +109,16 @@ def search(n: int, q: int, route: str = "css", budget: int = DEFAULT_BUDGET, *,
         for c1 in codes:
             if c1.k == 0:
                 continue
-            allowed = _cosets_within(cosets, c1.dual().T.members - c1.T.members)
-            # C2 depends on the block T only through T union -T: derive each once
-            closed = set()
-            for mask in coset_unions(allowed):
-                block = mask | _negated(mask, n)
-                # the full space with the empty block would pair with the zero code
-                if block not in closed and (mask or c1.k < n):
-                    closed.add(block)
-                    results.append(extend_by_defining_set(c1, mask_residues(mask), budget)[1])
+            classes: dict[int, int] = {}  # block mask -> its admissible cosets
+            for coset in _cosets_within(cosets, c1.dual().T.members - c1.T.members):
+                mask = sum(1 << s for s in coset.members)
+                block = mask | sum(1 << -s % n for s in coset.members)
+                classes[block] = classes.get(block, 0) | mask
+            for size in range(len(classes) + 1):
+                for mask in map(sum, combinations(classes.values(), size)):
+                    # the full space with the empty block would pair with the zero code
+                    if mask or c1.k < n:
+                        results.append(extend_by_defining_set(c1, mask_residues(mask), budget)[1])
     else:  # subsystem
         for c1 in codes:
             if c1.k == 0 or c1.k == n:

@@ -30,7 +30,13 @@ from asymqec.cyclic import (
     roots_of,
 )
 from asymqec.errors import NotNested
-from asymqec.galois import make_field, nth_root_field, prime_power, subfield_embedding
+from asymqec.galois import (
+    clear_modulus_overrides,
+    make_field,
+    nth_root_field,
+    prime_power,
+    subfield_embedding,
+)
 from asymqec.polyring import (
     coset_of,
     coset_unions,
@@ -39,7 +45,7 @@ from asymqec.polyring import (
     minimal_polynomial,
     parse_poly,
 )
-from asymqec.search import all_cyclic_codes
+from asymqec.search import all_cyclic_codes, search
 
 F2 = make_field(2)
 HAM15 = bch(15, 2, 3)
@@ -516,6 +522,66 @@ def test_each_derivation_checks_nesting_once(monkeypatch):
             calls.clear()
             subsystem_euclidean(c1)
             assert len(calls) == 1
+
+
+def _cold_css(c1, c2, *args, **kwargs):
+    clear_modulus_overrides()
+    return css_aqec(c1, c2, *args, **kwargs)
+
+
+#: a [[15,5,3/3]]_2 pair whose two sides tie at 3 but count 9 and 1 words
+TIED = from_defining_set(15, 2, {1, 2, 4, 5, 8, 10}), from_defining_set(15, 2, {1, 2, 4, 8})
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (8, 3), (9, 4), (7, 8)])
+def test_a_mirror_reads_its_pairs_sides_and_matches_a_cold_derivation(n, q):
+    pairs = oracle.css_pairs(all_cyclic_codes(n, q))
+    if n == 15:
+        assert TIED in pairs
+    for c1, c2 in pairs:
+        expected = _cold_css(c2, c1)
+        clear_modulus_overrides()
+        css_aqec(c1, c2)
+        assert list(weights._PAIR_CACHE) == [(c1, c2, weights.DEFAULT_BUDGET, None)]
+        # whole records: each side's method and enumerated count included
+        assert css_aqec(c2, c1) == expected
+        assert not weights._PAIR_CACHE
+
+
+def test_a_tied_pair_and_its_mirror_order_their_own_sides():
+    c1, c2 = TIED
+    first = _cold_css(c1, c2)
+    mirror = css_aqec(c2, c1)
+    assert first.label() == mirror.label() == "[[15,5,3/3]]_2"
+    assert (first.dz.enumerated, first.dx.enumerated) == (1, 9)
+    assert (mirror.dz.enumerated, mirror.dx.enumerated) == (9, 1)
+    assert mirror == _cold_css(c2, c1)
+
+
+def test_the_pair_cache_is_keyed_by_budget_and_purity():
+    c1, c2 = TIED
+    small = _cold_css(c1, c2, 16)
+    assert small.dz.method == small.dx.method == "bound-only" and small.pure is None
+    assert css_aqec(c2, c1) == _cold_css(c2, c1)
+    unpure = _cold_css(c1, c2, purity=False)
+    assert unpure.pure is None
+    mirror = css_aqec(c2, c1)
+    assert mirror.pure is True and mirror == _cold_css(c2, c1)
+
+
+def test_the_pair_cache_is_emptied_with_the_weight_caches():
+    for clear in (weights._clear_caches, clear_modulus_overrides):
+        _cold_css(*TIED)
+        assert weights._PAIR_CACHE
+        clear()
+        assert not weights._PAIR_CACHE
+
+
+def test_a_css_search_leaves_only_the_pairs_that_are_their_own_mirror():
+    clear_modulus_overrides()
+    search(15, 2, "css")
+    left = list(weights._PAIR_CACHE)
+    assert len(left) == 3 and all(c1 == c2 for c1, c2, _, _ in left)
 
 
 def test_non_nested_pairs_raise_not_nested_on_every_route():

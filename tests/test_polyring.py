@@ -351,3 +351,23 @@ def test_mask_residues_and_the_empty_union():
     assert mask_residues(0) == ()
     assert mask_residues(0b1011) == (0, 1, 3)
     assert mask_residues(1 << 126) == (126,)
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (21, 2), (13, 3), (63, 2)])
+def test_a_wrong_factor_fails_the_product_check(monkeypatch, n, q):
+    cosets = cyclotomic_cosets(n, q)
+    wrong = []
+    for i, coset in enumerate(cosets):
+        wrong.append(cosets[:i] + cosets[i + 1:])  # one factor missing
+        wrong.append(cosets[:i + 1] + cosets[i:])  # one factor twice
+        negated = coset_of(n, q, -coset.representative)
+        if negated != coset:  # one factor of the right degree swapped for another
+            wrong.append(cosets[:i] + (negated,) + cosets[i + 1:])
+    for partition in wrong:
+        monkeypatch.setattr(polyring, "cyclotomic_cosets", lambda n, q: partition)
+        factor_xn_minus_1.cache_clear()
+        with pytest.raises(InternalConsistencyError, match="do not multiply to"):
+            factor_xn_minus_1(n, q)
+    monkeypatch.undo()
+    factor_xn_minus_1.cache_clear()
+    assert [coset for coset, _ in factor_xn_minus_1(n, q)] == list(cosets)

@@ -158,7 +158,7 @@ def extend_set_by_every_block(n, q):
     return derived, sorted(unique.values(), key=search_module._sort_key)
 
 
-@pytest.mark.parametrize("n,q", [(15, 2), (8, 3), (9, 4)])
+@pytest.mark.parametrize("n,q", [(15, 2), (8, 3), (9, 4), (21, 2), (13, 3), (7, 8)])
 def test_extend_set_search_derives_each_closed_block_once(monkeypatch, n, q):
     every, expected = extend_set_by_every_block(n, q)
     blocks = []
