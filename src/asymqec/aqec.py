@@ -401,7 +401,9 @@ def subsystem_euclidean(c1: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     k1, k2 = c1.k, c2.k
     if k1 + k2 > n:
         raise InternalConsistencyError("dim(C1) + dim(C1 intersect C1-dual) exceeded n")
-    k, dz, dx, pure = _css(c2.dual(), c1perp, budget, purity)
+    c2perp = c2.dual()
+    k, dz, dx, pure = _css(c2perp, c1perp, budget, purity)
+    _PAIR_CACHE.pop((c2perp, c1perp, budget, purity), None)  # no search derives its mirror
     r = k1 - k2
     notes = (f"intersection code C2 = C1 ^ C1-dual is [{n},{k2}]_{q}",)
     first = SubsystemParams(n, q, k, r, dz, dx, pure, c1, c2, "subsystem-euclidean", notes)

@@ -16,34 +16,24 @@ as it is written. Exit codes:
 0 success, 2 precondition or parse error, 3 budget exceeded without a
 fallback, 4 internal consistency failure. The modulus override table is
 read from the file named by ASYMQEC_MODULUS_TABLE.
+
+Importing this module and building the parser loads only `asymqec`, this
+module and `asymqec.errors`: each command handler imports the modules it
+runs when it starts, and the writers import json and csv, so a `code` or
+`cosets` run never compiles `aqec`, `audit` or `search`; annotations name
+engine types unimported, which postponed evaluation allows. The table1 help
+text names the row count of `audit.REFERENCE_TABLE` as a literal (a test
+keeps them in step).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
 
-from .aqec import (
-    AqecParams,
-    SubsystemParams,
-    _params_json,
-    correction_capability,
-    css_aqec,
-    extend_by_defining_set,
-    extend_by_polynomial,
-    subsystem_euclidean,
-)
-from .audit import REFERENCE_TABLE, RowAudit, audit_rows
-from .cyclic import CyclicCode, parse_code, parse_residue_set
+from . import DEFAULT_BUDGET, DEFAULT_MAX_CODES, ROUTES
 from .errors import BudgetExceeded, InternalConsistencyError
-from .polyring import coset_of, cyclotomic_cosets, minimal_polynomial, parse_poly, render_poly
-from .search import DEFAULT_MAX_CODES, ROUTES, search
-from .weights import DEFAULT_BUDGET, bound_only_report, min_weight
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -51,13 +41,18 @@ EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
 
 
-#: JSON text of each leaf type a payload holds, by exact type
-_JSON_LEAF = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
+@lru_cache(maxsize=None)
+def _json_text():
+    """The stdlib's JSON string escaper, and the JSON text of each leaf type
+    a payload holds, by exact type."""
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii, {
+        str: encode_basestring_ascii,
+        int: int.__repr__,
+        bool: lambda b: "true" if b else "false",
+        type(None): lambda _: "null",
+    }
 
 
 def _dumps_indented(value, pad: str = "") -> str:
@@ -68,7 +63,8 @@ def _dumps_indented(value, pad: str = "") -> str:
     (floats, subclasses of str and int) go through json.dumps itself.
     `pad` is the indent of the line `value` starts on.
     """
-    leaf = _JSON_LEAF.get(type(value))
+    escape, leaves = _json_text()
+    leaf = leaves.get(type(value))
     if leaf is not None:
         return leaf(value)
     inner = pad + "  "
@@ -79,15 +75,17 @@ def _dumps_indented(value, pad: str = "") -> str:
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            leaf = _JSON_LEAF.get(type(item))
+            leaf = leaves.get(type(item))
             text = leaf(item) if leaf is not None else _dumps_indented(item, inner)
-            parts.append(encode_basestring_ascii(key) + ": " + text)
+            parts.append(escape(key) + ": " + text)
         return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         parts = [_dumps_indented(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    import json
+
     return json.dumps(value)
 
 
@@ -112,6 +110,8 @@ def _emit_json(payload, render=_dumps_indented) -> None:
 
 
 def _emit_csv(rows: Iterable[dict], fieldnames: list[str]) -> None:
+    import csv
+
     writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
@@ -131,6 +131,8 @@ _PARAMS_FIELDS = ["n", "q", "k", "r", "dz", "dz_method", "dx", "dx_method",
 
 
 def _print_params(p: AqecParams | SubsystemParams) -> None:
+    from .aqec import correction_capability
+
     print(p.label())
     print(f"  c1: {p.c1.descriptor()}   [{p.c1.n},{p.c1.k}]_{p.c1.q}")
     print(f"  c2: {p.c2.descriptor()}   [{p.c2.n},{p.c2.k}]_{p.c2.q}")
@@ -165,6 +167,8 @@ def _exact_violated(args, results) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cmd_cosets(args) -> int:
+    from .polyring import cyclotomic_cosets
+
     cosets = cyclotomic_cosets(args.n, args.q)
     if args.format == "json":
         _emit_json({"n": args.n, "q": args.q,
@@ -179,7 +183,12 @@ def _cmd_cosets(args) -> int:
     return EXIT_OK
 
 
-def _code_report(code: CyclicCode, args) -> dict:
+def _code_report(args) -> dict:
+    from .cyclic import parse_code
+    from .polyring import render_poly
+    from .weights import bound_only_report, min_weight
+
+    code = parse_code(" ".join(args.descriptor))
     report = {
         "descriptor": code.descriptor(),
         "n": code.n,
@@ -201,8 +210,7 @@ def _code_report(code: CyclicCode, args) -> dict:
 
 
 def _cmd_code(args) -> int:
-    code = parse_code(" ".join(args.descriptor))
-    report = _code_report(code, args)
+    report = _code_report(args)
     if args.format == "json":
         _emit_json(report)
     elif args.format == "csv":
@@ -226,6 +234,8 @@ def _cmd_code(args) -> int:
 
 
 def _parse_f(text: str, c1: CyclicCode):
+    from .polyring import coset_of, minimal_polynomial, parse_poly
+
     body = text.strip()
     if body.startswith("minpoly:"):
         i = int(body.split(":", 1)[1])
@@ -234,6 +244,10 @@ def _parse_f(text: str, c1: CyclicCode):
 
 
 def _cmd_derive(args) -> int:
+    from .aqec import (_params_json, css_aqec, extend_by_defining_set, extend_by_polynomial,
+                       subsystem_euclidean)
+    from .cyclic import parse_code, parse_residue_set
+
     c1 = parse_code(args.c1)
     results: list[AqecParams | SubsystemParams]
     if args.route == "css":
@@ -293,6 +307,8 @@ _AUDIT_FIELDS = ["row", "verdict", "expected", "computed", "c1_printed", "c2_pri
 
 
 def _cmd_table1(args) -> int:
+    from .audit import audit_rows
+
     indices = _parse_rows(args.rows) if args.rows else None
     audits = audit_rows(indices, args.budget)
     if args.format == "json":
@@ -312,6 +328,9 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .aqec import _params_json
+    from .search import search
+
     results = search(args.n, args.q, args.route, args.budget,
                      max_results=args.max_results, max_codes=args.max_space)
     if args.format == "json":
@@ -372,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_derive)
 
     p = subs.add_parser("table1", help="audit the bundled reference table")
-    p.add_argument("--rows", help=f"comma list of rows 1..{len(REFERENCE_TABLE)}")
+    p.add_argument("--rows", help="comma list of rows 1..9")
     _add_common(p)
     p.set_defaults(handler=_cmd_table1)
 

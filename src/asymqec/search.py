@@ -17,6 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
+from . import DEFAULT_BUDGET, DEFAULT_MAX_CODES, ROUTES
 from .aqec import (
     AqecParams,
     SubsystemParams,
@@ -27,12 +28,6 @@ from .aqec import (
 )
 from .cyclic import CyclicCode, from_defining_set
 from .polyring import CyclotomicCoset, coset_unions, cyclotomic_cosets, mask_residues
-from .weights import DEFAULT_BUDGET
-
-ROUTES = ("css", "extend-poly", "extend-set", "subsystem")
-
-#: refuse to enumerate more defining sets than this
-DEFAULT_MAX_CODES = 4096
 
 
 def all_cyclic_codes(n: int, q: int, max_codes: int = DEFAULT_MAX_CODES) -> tuple[CyclicCode, ...]:

@@ -49,7 +49,7 @@ pair's answer is lookups plus the one pass over two lists that checks them.
 Nesting is symmetric (C2-dual in C1 iff C1-dual in C2), so a search derives
 each pair (C1, C2) and its mirror (C2, C1), whose two sides are the same
 reports swapped: `_PAIR_CACHE` holds a pair's two sides and purity until
-its mirror reads them.
+its mirror reads them (the subsystem route drops its pair's entry at once).
 
 An inner code equal to the outer one leaves an empty difference; this arises
 exactly for derived codes with zero logical dimension, where the convention
@@ -63,13 +63,10 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import bitslice, galois
+from . import DEFAULT_BUDGET, bitslice, galois
 from .cyclic import CyclicCode, from_defining_set
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
 from .polyring import CyclotomicCoset, cyclotomic_cosets
-
-#: default cap on codeword enumerations
-DEFAULT_BUDGET = 1 << 28
 
 _INF = 1 << 62
 

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import oracle
-from asymqec import weights
+from asymqec import aqec, weights
 from asymqec.aqec import (
     aqec_to_subsystem,
     build_stabilizer_matrix,
@@ -582,6 +582,26 @@ def test_a_css_search_leaves_only_the_pairs_that_are_their_own_mirror():
     search(15, 2, "css")
     left = list(weights._PAIR_CACHE)
     assert len(left) == 3 and all(c1 == c2 for c1, c2, _, _ in left)
+
+
+class _Forgetful(dict):
+    """A pair cache that stores nothing, so every derivation computes its sides."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (21, 2), (8, 3), (9, 4), (7, 8)])
+def test_a_subsystem_search_leaves_the_pair_cache_empty(n, q, monkeypatch):
+    """No subsystem search derives its pairs' mirrors, so it keeps no entry,
+    and its records (enumerated counts included) are those of a search that
+    caches no pair at all."""
+    clear_modulus_overrides()
+    records = search(n, q, "subsystem")
+    assert records and not weights._PAIR_CACHE
+    clear_modulus_overrides()
+    monkeypatch.setattr(aqec, "_PAIR_CACHE", _Forgetful())
+    assert repr(search(n, q, "subsystem")) == repr(records)
 
 
 def test_non_nested_pairs_raise_not_nested_on_every_route():

@@ -14,7 +14,7 @@ import pytest
 
 from asymqec import cli
 from asymqec.aqec import extend_by_defining_set, extend_by_polynomial, subsystem_euclidean
-from asymqec.audit import audit_rows
+from asymqec.audit import REFERENCE_TABLE, audit_rows
 from asymqec.cyclic import parse_code, parse_residue_set
 from asymqec.galois import clear_modulus_overrides
 from asymqec.search import search
@@ -417,15 +417,48 @@ def test_modulus_override_via_environment(tmp_path):
 
 def test_start_up_loads_neither_dataclasses_nor_inspect():
     """The records are named tuples, so importing the CLI and building its
-    parser in a fresh interpreter pulls in no dataclass machinery. Without
-    site (-S), no .pth file of the environment can load the modules first."""
-    probe = ("import sys, asymqec.cli; asymqec.cli.build_parser(); "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    parser in a fresh interpreter pulls in no dataclass machinery; the
+    package resolves its names on first use, so the parser loads no engine
+    module and neither JSON nor CSV writer, and the `cosets` and `code`
+    commands load none of the derivation modules. Without site (-S), no .pth
+    file of the environment can load the modules first."""
+    probe = (
+        "import io, sys, contextlib, asymqec.cli\n"
+        "asymqec.cli.build_parser()\n"
+        "mods = lambda: sorted(m for m in sys.modules if m.startswith('asymqec'))\n"
+        "print(mods(), sorted({'dataclasses', 'inspect', 'heapq', 'json', 'csv'}"
+        " & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert asymqec.cli.main(['cosets', '--n', '15', '--q', '2']) == 0\n"
+        "    assert asymqec.cli.main(['code', 'bch:n=15,q=2,delta=5', '--format', 'json']) == 0\n"
+        "print(sorted({'asymqec.aqec', 'asymqec.audit', 'asymqec.search'} & set(mods())))\n"
+    )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "['asymqec', 'asymqec.cli', 'asymqec.errors'] []\n[]\n"
+
+
+HELP_COMMANDS = ["", "cosets", "code", "derive", "table1", "search"]
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS, ids=[c or "asymqec" for c in HELP_COMMANDS])
+def test_help_text_matches_the_golden(command, capsys, monkeypatch):
+    """Every --help text at 80 columns, byte for byte as stored."""
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads((GOLDEN / "help.json").read_text(encoding="utf-8"))
+    code, out, err = run([command, "--help"] if command else ["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out == golden[command]
+
+
+def test_table1_help_names_every_reference_row(capsys, monkeypatch):
+    """The parser states the row count without importing the audit."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(["table1", "--help"], capsys)
+    assert code == 0
+    assert f"comma list of rows 1..{len(REFERENCE_TABLE)}\n" in out
 
 
 def test_derive_css_text(capsys):
