@@ -45,9 +45,6 @@ from .weights import (
     min_weight_difference_unchecked,
 )
 
-#: purity is evaluated by default only up to this length (extra enumerations)
-PURITY_AUTO_LIMIT = 31
-
 #: JSON text of an int, as json.dumps writes it
 _int = int.__repr__
 
@@ -158,14 +155,14 @@ def _difference_side(outer: CyclicCode, inner: CyclicCode, budget: int) -> Weigh
 
 def _evaluate_purity(side1: WeightReport, side2: WeightReport,
                      c1: CyclicCode, c2: CyclicCode, budget: int) -> bool | None:
+    """Whether each exact side equals d of its outer code; None if a side is a bound.
+
+    An exact side already read d(outer) at this budget, so this is two lookups.
+    """
     if not (side1.is_exact and side2.is_exact):
         return None
-    try:
-        d1 = min_weight(c1, budget)
-        d2 = min_weight(c2, budget)
-    except BudgetExceeded:
-        return None
-    return side1.value == d1.value and side2.value == d2.value
+    return (side1.value == min_weight(c1, budget).value
+            and side2.value == min_weight(c2, budget).value)
 
 
 def _nested_dual(c1: CyclicCode, c2: CyclicCode) -> CyclicCode:
@@ -178,8 +175,8 @@ def _nested_dual(c1: CyclicCode, c2: CyclicCode) -> CyclicCode:
     return c2perp
 
 
-def _css(c1: CyclicCode, c2: CyclicCode, budget: int,
-         purity: bool | None) -> tuple[int, WeightReport, WeightReport, bool | None]:
+def _css(c1: CyclicCode, c2: CyclicCode,
+         budget: int) -> tuple[int, WeightReport, WeightReport, bool | None]:
     """(k, dz, dx, pure) of the nested pair; the ordering rule lives here.
 
     Every call checks nesting and k; the sides and purity of a pair whose
@@ -196,17 +193,15 @@ def _css(c1: CyclicCode, c2: CyclicCode, budget: int,
             f"dimension routes disagree: k1+k2-n={k}, dim difference={k_dims}, "
             f"set difference={k_sets}"
         )
-    hit = _PAIR_CACHE.pop((c2, c1, budget, purity), None)
+    hit = _PAIR_CACHE.pop((c2, c1, budget), None)
     if hit is not None:
         side2, side1, pure = hit
     else:
         # C2-dual inside C1 means C1-dual inside C2: the one check covers both sides
         side1 = _difference_side(c1, c2perp, budget)  # X-side weight
         side2 = _difference_side(c2, c1.dual(), budget)  # Z-side weight
-        pure = None
-        if (purity if purity is not None else n <= PURITY_AUTO_LIMIT):
-            pure = _evaluate_purity(side1, side2, c1, c2, budget)
-        _PAIR_CACHE[c1, c2, budget, purity] = side1, side2, pure
+        pure = _evaluate_purity(side1, side2, c1, c2, budget)
+        _PAIR_CACHE[c1, c2, budget] = side1, side2, pure
     # a bound ranks after an exact side of equal value, and dz is only as
     # exact as dx: an unknown smaller side could otherwise undercut dx
     dx, dz = side1, side2
@@ -217,8 +212,7 @@ def _css(c1: CyclicCode, c2: CyclicCode, budget: int,
     return k, dz, dx, pure
 
 
-def css_aqec(c1: CyclicCode, c2: CyclicCode, budget: int = DEFAULT_BUDGET, *,
-             purity: bool | None = None) -> AqecParams:
+def css_aqec(c1: CyclicCode, c2: CyclicCode, budget: int = DEFAULT_BUDGET) -> AqecParams:
     """Asymmetric CSS code from a nested pair: requires dual(C2) inside C1.
 
     k is computed from the actual dimensions (three ways, which must agree).
@@ -228,14 +222,14 @@ def css_aqec(c1: CyclicCode, c2: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     then ordered by (value, bound-only last) and dz is a bound unless both
     sides are exact, so dz >= dx and an exact dx is the true minimum. The
     symmetric stabilizer corollary [[n, k, dx]] is noted when dx is exact.
-    Purity is evaluated by default only for n <= 31. A zero C1 or C2 (no
+    Purity is reported whenever both sides are exact. A zero C1 or C2 (no
     nonzero codewords, so no distance) raises ValueError.
     """
     if c1.k == 0 or c2.k == 0:
         name, zero = ("C1", c1) if c1.k == 0 else ("C2", c2)
         raise ValueError(f"{name} = {zero.descriptor()} is the zero code; the css "
                          f"route needs C1 and C2 to have nonzero codewords")
-    k, dz, dx, pure = _css(c1, c2, budget, purity)
+    k, dz, dx, pure = _css(c1, c2, budget)
     n, q = c1.n, c1.q
     notes = ()
     if dx.is_exact:
@@ -266,10 +260,9 @@ def check_css_commutativity(h1: CheckMatrix, h2: CheckMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 def _extension_params(c1: CyclicCode, c2: CyclicCode, b: int, size: str, kind: str,
-                      route: str, budget: int, purity: bool | None,
-                      extra_notes: tuple[str, ...] = ()) -> AqecParams:
+                      route: str, budget: int, extra_notes: tuple[str, ...] = ()) -> AqecParams:
     """css_aqec of an extension pair, asserting k = b and noting the closed forms."""
-    params = css_aqec(c1, c2, budget, purity=purity)
+    params = css_aqec(c1, c2, budget)
     if params.k != b:
         raise InternalConsistencyError(
             f"logical dimension {params.k} != {size} = {b} on the {kind} route"
@@ -285,8 +278,7 @@ def _extension_params(c1: CyclicCode, c2: CyclicCode, b: int, size: str, kind: s
 
 
 def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
-                         budget: int = DEFAULT_BUDGET, *,
-                         purity: bool | None = None) -> tuple[CyclicCode, AqecParams]:
+                         budget: int = DEFAULT_BUDGET) -> tuple[CyclicCode, AqecParams]:
     """Extend g1 to g1*f (f a monic divisor of the parity polynomial h1).
 
     The product generates the dual of the new partner code C2; the derived
@@ -316,12 +308,11 @@ def extend_by_polynomial(c1: CyclicCode, f: Polynomial,
         raise InternalConsistencyError("extended generator does not match f * g1")
     c2 = c2perp.dual()
     return c2, _extension_params(c1, c2, int(f.degree), "deg f", "generator",
-                                 "extend-poly", budget, purity)
+                                 "extend-poly", budget)
 
 
 def extend_by_defining_set(c1: CyclicCode, members: Sequence[int],
-                           budget: int = DEFAULT_BUDGET, *,
-                           purity: bool | None = None) -> tuple[CyclicCode, AqecParams]:
+                           budget: int = DEFAULT_BUDGET) -> tuple[CyclicCode, AqecParams]:
     """Build the partner code from a coset block T inside T(C1-dual) minus T(C1).
 
     C2 gets defining set T(C1-dual) minus (T union -T); the identity
@@ -353,7 +344,7 @@ def extend_by_defining_set(c1: CyclicCode, members: Sequence[int],
         f"(not k+b = {c1.k + b}); dim C2-dual = k-b = {c1.k - b}"
     )
     return c2, _extension_params(c1, c2, b, "|T union -T|", "defining-set",
-                                 "extend-set", budget, purity, (dim_note,))
+                                 "extend-set", budget, (dim_note,))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +370,8 @@ def aqec_to_subsystem(a: AqecParams, r: int) -> SubsystemParams:
     )
 
 
-def subsystem_euclidean(c1: CyclicCode, budget: int = DEFAULT_BUDGET, *,
-                        purity: bool | None = None) -> tuple[SubsystemParams, SubsystemParams]:
+def subsystem_euclidean(c1: CyclicCode,
+                        budget: int = DEFAULT_BUDGET) -> tuple[SubsystemParams, SubsystemParams]:
     """Subsystem pair from a single code via C2 = C1 intersect C1-dual.
 
     Returns [[n, n-(k1+k2), k1-k2, dz/dx]] and the role-swapped
@@ -402,8 +393,8 @@ def subsystem_euclidean(c1: CyclicCode, budget: int = DEFAULT_BUDGET, *,
     if k1 + k2 > n:
         raise InternalConsistencyError("dim(C1) + dim(C1 intersect C1-dual) exceeded n")
     c2perp = c2.dual()
-    k, dz, dx, pure = _css(c2perp, c1perp, budget, purity)
-    _PAIR_CACHE.pop((c2perp, c1perp, budget, purity), None)  # no search derives its mirror
+    k, dz, dx, pure = _css(c2perp, c1perp, budget)
+    _PAIR_CACHE.pop((c2perp, c1perp, budget), None)  # no search derives its mirror
     r = k1 - k2
     notes = (f"intersection code C2 = C1 ^ C1-dual is [{n},{k2}]_{q}",)
     first = SubsystemParams(n, q, k, r, dz, dx, pure, c1, c2, "subsystem-euclidean", notes)

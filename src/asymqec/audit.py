@@ -164,21 +164,17 @@ def _pieces(masks: list, packed: dict, j: int, c: int, prefix: int) -> Iterator[
             yield from _pieces(masks, packed, i + 1, c - 1, prefix + masks[i])
 
 
-def _candidate_sets(n: int, target: int, allowed: Sequence[CyclotomicCoset]) -> list[int]:
-    """Residue bitmasks of the unions of `allowed` cosets with exactly `target`
-    members, ranked by falling designed-distance bound, then by bitmask.
-
-    Only unions of that size are ranked: the cosets are grouped by size, and
-    for each choice of how many cosets to take of each size that adds up to
-    `target`, the unions are sums of `combinations` within each size class.
-    """
-    return _best_candidates(n, target, allowed)[1]
-
-
 def _best_candidates(n: int, target: int, allowed: Sequence[CyclotomicCoset],
                      keep: int | None = None) -> tuple[int, list[int]]:
-    """(number of candidate sets, the first `keep` of `_candidate_sets`, or
-    all of them when `keep` is None).
+    """(number of candidate sets, the first `keep` of them, or all of them
+    when `keep` is None).
+
+    The candidates are the residue bitmasks of the unions of `allowed`
+    cosets with exactly `target` members, ranked by falling
+    designed-distance bound, then by bitmask. Only unions of that size are
+    ranked: the cosets are grouped by size, and for each choice of how many
+    cosets to take of each size that adds up to `target`, the unions are
+    sums of `combinations` within each size class.
 
     The unions are ranked in the chunks of `_lane_chunks`, each a `width`-byte
     lane of one int: n residue bits, at least one zero guard bit above. One
@@ -260,7 +256,7 @@ def _resolve_by_search(stated: tuple[int, int, int], q: int,
     if check_distance:
         candidates = [
             code
-            for mask in _candidate_sets(n, n - k, allowed)
+            for mask in _best_candidates(n, n - k, allowed)[1]
             for code in (from_defining_set(n, q, mask_residues(mask)),)
             if min_weight(code, budget).value == d
         ]

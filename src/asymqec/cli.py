@@ -9,13 +9,14 @@
 
 Output format is text (default), json or csv via --format. JSON is the
 bytes of json.dumps(document, indent=2) plus a newline: derived-code records
-are written from their fields by aqec._params_json, other payloads by the
-generic walker _dumps_indented. List-valued output (search, table1, derive
-subsystem) in every format is written one record at a time, each rendered
-as it is written. Exit codes:
-0 success, 2 precondition or parse error, 3 budget exceeded without a
-fallback, 4 internal consistency failure. The modulus override table is
-read from the file named by ASYMQEC_MODULUS_TABLE.
+are written from their fields by aqec._params_json, other payloads by
+json.dumps itself. List-valued output (search, table1, derive subsystem) in
+every format is written one record at a time, each rendered as it is
+written. Exit codes: 0 success, 2 precondition or parse error, 3 budget
+exceeded without a fallback, 4 internal consistency failure, 141 stdout
+closed by its reader before all output was written (the status a shell
+gives a process killed by SIGPIPE). The modulus override table is read from
+the file named by ASYMQEC_MODULUS_TABLE.
 
 Importing this module and building the parser loads only `asymqec`, this
 module and `asymqec.errors`: each command handler imports the modules it
@@ -39,57 +40,18 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
+EXIT_BROKEN_PIPE = 141
 
 
-@lru_cache(maxsize=None)
-def _json_text():
-    """The stdlib's JSON string escaper, and the JSON text of each leaf type
-    a payload holds, by exact type."""
-    from json.encoder import encode_basestring_ascii
-
-    return encode_basestring_ascii, {
-        str: encode_basestring_ascii,
-        int: int.__repr__,
-        bool: lambda b: "true" if b else "false",
-        type(None): lambda _: "null",
-    }
-
-
-def _dumps_indented(value, pad: str = "") -> str:
-    """json.dumps(value, indent=2), byte for byte, for str-keyed payloads.
-
-    With an indent the stdlib falls back to its pure-Python encoder; this
-    walk makes the same text with the C string escaper. Other leaves
-    (floats, subclasses of str and int) go through json.dumps itself.
-    `pad` is the indent of the line `value` starts on.
-    """
-    escape, leaves = _json_text()
-    leaf = leaves.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            leaf = leaves.get(type(item))
-            text = leaf(item) if leaf is not None else _dumps_indented(item, inner)
-            parts.append(escape(key) + ": " + text)
-        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [_dumps_indented(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+def _json(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), each line after the first indented by
+    `pad`; JSON escapes newlines inside strings, so every newline is a line break."""
     import json
 
-    return json.dumps(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _emit_json(payload, render=_dumps_indented) -> None:
+def _emit_json(payload, render=_json) -> None:
     """Write the indent-2 JSON of payload and a newline, render(value, pad)
     making each value's text: a dict or a record (any tuple) in one write,
     any other iterable as an array written one element at a time.
@@ -253,22 +215,20 @@ def _cmd_derive(args) -> int:
     if args.route == "css":
         if not args.c2:
             raise ValueError("derive css requires --c2")
-        params = css_aqec(c1, parse_code(args.c2), args.budget, purity=args.purity)
+        params = css_aqec(c1, parse_code(args.c2), args.budget)
         results = [params]
     elif args.route == "extend-poly":
         if not args.f:
             raise ValueError("derive extend-poly requires --f")
-        _, params = extend_by_polynomial(c1, _parse_f(args.f, c1), args.budget,
-                                         purity=args.purity)
+        _, params = extend_by_polynomial(c1, _parse_f(args.f, c1), args.budget)
         results = [params]
     elif args.route == "extend-set":
         if args.T is None:
             raise ValueError("derive extend-set requires --T")
-        _, params = extend_by_defining_set(c1, parse_residue_set(args.T), args.budget,
-                                           purity=args.purity)
+        _, params = extend_by_defining_set(c1, parse_residue_set(args.T), args.budget)
         results = [params]
     else:  # subsystem
-        first, swapped = subsystem_euclidean(c1, args.budget, purity=args.purity)
+        first, swapped = subsystem_euclidean(c1, args.budget)
         results = [first, swapped]
     if _exact_violated(args, results):
         return EXIT_BUDGET
@@ -385,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", help="code descriptor for C2 (css route)")
     p.add_argument("--T", help="coset block for extend-set, e.g. {3,6,9,12}")
     p.add_argument("--f", help="polynomial for extend-poly: 'x^4+x+1' or minpoly:3")
-    p.add_argument("--purity", action=argparse.BooleanOptionalAction, default=None,
-                   help="force purity evaluation on/off (default: on for n <= 31)")
     _add_common(p, exact=True)
     p.set_defaults(handler=_cmd_derive)
 
@@ -417,7 +375,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "budget", 0) < 0:
             raise ValueError(f"budget={args.budget} must be non-negative")
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # does not raise again (the stdlib's SIGPIPE recipe)
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

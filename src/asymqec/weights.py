@@ -48,8 +48,10 @@ classes, cached or not, walked one by one or met in orbits. Per code,
 pair's answer is lookups plus the one pass over two lists that checks them.
 Nesting is symmetric (C2-dual in C1 iff C1-dual in C2), so a search derives
 each pair (C1, C2) and its mirror (C2, C1), whose two sides are the same
-reports swapped: `_PAIR_CACHE` holds a pair's two sides and purity until
-its mirror reads them (the subsystem route drops its pair's entry at once).
+reports swapped: `_PAIR_CACHE`, keyed by (c1, c2, budget), holds a pair's
+two sides and purity until its mirror reads them (the subsystem route drops
+its pair's entry at once). Purity compares each exact side with d of its
+outer code, which that side's answer already cached.
 
 An inner code equal to the outer one leaves an empty difference; this arises
 exactly for derived codes with zero logical dimension, where the convention
@@ -284,7 +286,7 @@ def _plane_scan(code: CyclicCode, counts: list[int], cap: int, lb: int = -1) -> 
 _MIN_CACHE: dict[CyclicCode, tuple[int, int, int]] = {}
 #: code -> (the count of each weight 0..n, the code walked for the distribution)
 _DIST_CACHE: dict[CyclicCode, tuple[list[int], CyclicCode]] = {}
-#: (c1, c2, budget, purity) -> (side1, side2, pure) of a derived pair, until its mirror reads it
+#: (c1, c2, budget) -> (side1, side2, pure) of a derived pair, until its mirror reads it
 _PAIR_CACHE: dict[tuple, tuple[WeightReport, WeightReport, bool | None]] = {}
 #: (n, q, coset representative) -> one packed word per orbit of the minimal ideal
 _ORBIT_CACHE: dict[tuple[int, int, int], tuple[int, ...]] = {}

@@ -45,7 +45,7 @@ from asymqec.polyring import (
     minimal_polynomial,
     parse_poly,
 )
-from asymqec.search import all_cyclic_codes, search
+from asymqec.search import ROUTES, all_cyclic_codes, search
 
 F2 = make_field(2)
 HAM15 = bch(15, 2, 3)
@@ -542,7 +542,7 @@ def test_a_mirror_reads_its_pairs_sides_and_matches_a_cold_derivation(n, q):
         expected = _cold_css(c2, c1)
         clear_modulus_overrides()
         css_aqec(c1, c2)
-        assert list(weights._PAIR_CACHE) == [(c1, c2, weights.DEFAULT_BUDGET, None)]
+        assert list(weights._PAIR_CACHE) == [(c1, c2, weights.DEFAULT_BUDGET)]
         # whole records: each side's method and enumerated count included
         assert css_aqec(c2, c1) == expected
         assert not weights._PAIR_CACHE
@@ -558,15 +558,37 @@ def test_a_tied_pair_and_its_mirror_order_their_own_sides():
     assert mirror == _cold_css(c2, c1)
 
 
-def test_the_pair_cache_is_keyed_by_budget_and_purity():
+def test_the_pair_cache_is_keyed_by_budget():
     c1, c2 = TIED
     small = _cold_css(c1, c2, 16)
     assert small.dz.method == small.dx.method == "bound-only" and small.pure is None
-    assert css_aqec(c2, c1) == _cold_css(c2, c1)
-    unpure = _cold_css(c1, c2, purity=False)
-    assert unpure.pure is None
-    mirror = css_aqec(c2, c1)
+    mirror = css_aqec(c2, c1)  # at the default budget: the entry is not its own
+    assert list(weights._PAIR_CACHE) == [(c1, c2, 16), (c2, c1, weights.DEFAULT_BUDGET)]
     assert mirror.pure is True and mirror == _cold_css(c2, c1)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_purity_is_reported_past_length_31_from_cached_facts(route, monkeypatch):
+    """At n = 33 every record whose two sides are exact says whether it is
+    pure, and deciding it adds no entry to either per-code weight cache."""
+    sizes = []
+    evaluate = aqec._evaluate_purity
+
+    def counted(*args):
+        before = len(weights._MIN_CACHE), len(weights._DIST_CACHE)
+        pure = evaluate(*args)
+        sizes.append((before, (len(weights._MIN_CACHE), len(weights._DIST_CACHE))))
+        return pure
+
+    monkeypatch.setattr(aqec, "_evaluate_purity", counted)
+    clear_modulus_overrides()
+    records = search(33, 2, route)
+    assert records and sizes
+    assert all(before == after for before, after in sizes)
+    exact = [p for p in records if p.dz.is_exact and p.dx.is_exact]
+    assert all(p.pure is not None for p in exact)
+    if route != "subsystem":  # no subsystem record at (33, 2) has two exact sides
+        assert exact
 
 
 def test_the_pair_cache_is_emptied_with_the_weight_caches():
@@ -581,7 +603,7 @@ def test_a_css_search_leaves_only_the_pairs_that_are_their_own_mirror():
     clear_modulus_overrides()
     search(15, 2, "css")
     left = list(weights._PAIR_CACHE)
-    assert len(left) == 3 and all(c1 == c2 for c1, c2, _, _ in left)
+    assert len(left) == 3 and all(c1 == c2 for c1, c2, _ in left)
 
 
 class _Forgetful(dict):

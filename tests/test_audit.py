@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 import asymqec.audit as audit_module
-from asymqec.audit import REFERENCE_TABLE, _best_candidates, _candidate_sets, audit_row
+from asymqec.audit import REFERENCE_TABLE, _best_candidates, audit_row
 from asymqec.cyclic import bch, consecutive_run_bound, consecutive_run_bound_mask
 from asymqec.polyring import coset_unions, cyclotomic_cosets
 
@@ -69,7 +69,7 @@ def test_candidate_sets_against_brute_force(monkeypatch, n, q, picked, targets):
         monkeypatch.setattr(audit_module, "_LANES", lanes)
         for target, expected in rankings.items():
             count = len(expected)
-            assert _candidate_sets(n, target, allowed) == expected
+            assert _best_candidates(n, target, allowed)[1] == expected
             for keep in (1, 3, count + 2):
                 assert _best_candidates(n, target, allowed, keep) == (count, expected[:keep])
 

@@ -35,6 +35,9 @@ GOLDEN_CASES = [
     ("derive_css_row1.json",
      ["derive", "css", "--c1", "bch:n=15,q=2,delta=3", "--c2", "bch:n=15,q=2,delta=5"]),
     ("derive_subsystem_15.json", ["derive", "subsystem", "--c1", "bch:n=15,q=2,delta=5"]),
+    ("derive_css_33.json",
+     ["derive", "css", "--c1", "q=2 n=33 T={1,2,4,8,16,17,25,29,31,32}",
+      "--c2", "q=2 n=33 T={5,7,10,13,14,19,20,23,26,28}"]),
     ("table1_rows_1_2.json", ["table1", "--rows", "1,2"]),
     ("table1.json", ["table1"]),
     ("search_n7_css.json", ["search", "--n", "7", "--q", "2", "--max-results", "5"]),
@@ -296,6 +299,9 @@ class WriteLog:
         self.writes.append(text)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_search_writes_one_record_at_a_time(fmt, monkeypatch):
@@ -415,6 +421,27 @@ def test_modulus_override_via_environment(tmp_path):
     assert bad.stderr.startswith(f"error: {table}:2: invalid literal for int()")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_reader_closing_stdout_early_gets_no_traceback(fmt):
+    """`asymqec search ... | head -1`: the JSON output (356 kB) outgrows any
+    pipe buffer, so the writer meets the closed pipe and exits 141; the text
+    output (57 kB) may fit before the reader closes, and then exits 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "asymqec.cli", "search", "--n", "21", "--q", "2",
+         "--route", "extend-poly", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    status = proc.wait(timeout=60)
+    assert "Traceback" not in err and err == ""
+    assert status == cli.EXIT_BROKEN_PIPE or (fmt == "text" and status == 0)
+
+
 def test_start_up_loads_neither_dataclasses_nor_inspect():
     """The records are named tuples, so importing the CLI and building its
     parser in a fresh interpreter pulls in no dataclass machinery; the
@@ -525,7 +552,7 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
     derive = ["derive", "css", "--c1", "bch:n=15,q=2,delta=3", "--c2", "bch:n=15,q=2,delta=5"]
     calls = [
         ["code", "bch:n=15,q=2,delta=5"],
-        derive + ["--no-purity"],
+        derive + ["--budget", "16"],
         derive,  # a flag given to the previous call must not carry over
         ["--help"],
         ["search", "--n", "7", "--q", "2", "--format", "json"],
@@ -535,7 +562,7 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
         cli.build_parser.cache_clear()
         clear_modulus_overrides()
         alone.append(run(argv, capsys))
-    assert alone[1][1] != alone[2][1]  # purity is reported only without --no-purity
+    assert alone[1][1] != alone[2][1]  # distances are exact only without --budget 16
     built = []
     init = cli.argparse.ArgumentParser.__init__
 

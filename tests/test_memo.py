@@ -50,7 +50,7 @@ def test_clearing_the_modulus_table_empties_both_memos_and_overrides_move_root_s
     default = make_field(2, 3).modulus
     other = (1, 0, 1, 1) if default == (1, 1, 0, 1) else (1, 1, 0, 1)
     # one exact division, one divisibility check, one root set
-    extend_by_polynomial(full_space(7, 2), f, purity=False)
+    extend_by_polynomial(full_space(7, 2), f)
     before = divisor_roots(f, 7)
     assert all(memo_sizes())
     try:
@@ -173,7 +173,7 @@ def test_k_and_designed_bound_are_computed_once_per_code(monkeypatch):
 
 def test_membership_tests_leave_the_root_memo_alone():
     code = bch(15, 2, 5)
-    extend_by_polynomial(code, code.parity_polynomial, purity=False)
+    extend_by_polynomial(code, code.parity_polynomial)
     size = len(asymqec.cyclic._ROOTS_CACHE)
     assert size
     rng = random.Random(15)
