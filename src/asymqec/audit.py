@@ -6,13 +6,12 @@ as published. Each row's classical inputs are rebuilt (narrow-sense BCH by
 designed distance where the stated dimension matches; otherwise an
 exhaustive search over coset-union defining sets with the stated dimension,
 subject to the nesting premise), the quantum code is derived, and the
-computed parameters are compared with the printed ones. The search takes
+computed parameters are compared with the printed ones. The search counts
 only the unions whose size is the stated redundancy n - k, as sums of
-same-size cosets: row 9's C2 ranks 6,435 of the 65,536 unions of its 16
-allowed cosets by consecutive-run bound, `_LANES` at a time in the lanes of
-one int, packed from memoized combination blocks rather than built one int
-per union. Where the stated distance is beyond verification only the three
-best unions and their count are kept, not the whole ranked list.
+same-size cosets, and ranks them by consecutive-run bound. Where the stated
+distance is beyond verification only the three best unions and their count
+are kept, and the best are found from the runs they must cover: row 9's C2
+counts 6,435 of the 65,536 unions of its 16 allowed cosets and builds 12.
 
     REPRODUCED      n, k and both distances match exactly, distances exhaustive
     PARTIAL         n, k match; a distance is only available as a lower bound
@@ -24,20 +23,17 @@ Verdicts are deterministic across runs.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, product
+from itertools import combinations, product
 from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .aqec import AqecParams, css_aqec
-from .cyclic import CyclicCode, bch, from_defining_set
+from .cyclic import CyclicCode, bch, consecutive_run_bound_mask, from_defining_set
 from .polyring import CyclotomicCoset, cyclotomic_cosets, mask_residues
 from .weights import DEFAULT_BUDGET, min_weight
 
 #: exhaustive distance verification of searched candidates is capped here
 _CANDIDATE_DISTANCE_CAP = 1 << 20
-
-#: candidate unions ranked together, one lane each, by `_best_candidates`
-_LANES = 128
 
 REPRODUCED = "REPRODUCED"
 PARTIAL = "PARTIAL"
@@ -101,67 +97,24 @@ class RowAudit(NamedTuple):
                     notes=list(self.notes))
 
 
-def _union_blocks(target: int,
-                  allowed: Sequence[CyclotomicCoset]) -> list[list[tuple[list[int], int]]]:
-    """Each way to take `target` members from `allowed`: per coset size, the
-    residue bitmasks of the cosets of that size and how many of them to take."""
+def _union_blocks(target: int, masks: Sequence[int]) -> list[list[tuple[list[int], int]]]:
+    """Each way to take `target` residues from the cosets whose residue
+    bitmasks are `masks`: per coset size, the masks of that size and how many
+    of them to take."""
     by_size: dict[int, list[int]] = {}
-    for coset in allowed:
-        by_size.setdefault(len(coset.members), []).append(sum(1 << s for s in coset.members))
+    for mask in masks:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
     sizes = list(by_size)
     return [[(by_size[size], count) for size, count in zip(sizes, counts)]
             for counts in product(*(range(len(by_size[size]) + 1) for size in sizes))
             if sum(size * count for size, count in zip(sizes, counts)) == target]
 
 
-def _lane_chunks(n: int, blocks: list) -> Iterator[tuple[int, int]]:
-    """The unions of `blocks` in nested `combinations` order, `_LANES` at a
-    time: (an int with a union in each `n // 8 + 1`-byte lane, lowest first;
-    its lane count). The outer size classes and the upper levels of the last
-    class's combination tree are walked one choice at a time; once the
-    `combinations(masks[j:], c)` left fit in a chunk, their lanes come packed
-    from a memo, with the union chosen above added to every lane."""
-    bits = 8 * (n // 8 + 1)
-    # a 1 in each lane; shifted down, a 1 in each of its low lanes
-    ones = int.from_bytes(b"\1".ljust(bits // 8, b"\0") * _LANES, "little")
-    x = filled = 0
+def _unions(blocks: list) -> Iterator[int]:
+    """The residue bitmask of each union of `blocks` (see `_union_blocks`)."""
     for block in blocks:
-        *outer, (masks, take) = block or [([], 0)]  # no classes: the empty union
-        last = len(masks)
-        # (lanes, lanes packed) of each combinations(masks[j:], c) that fits in a chunk,
-        # for the j >= take - c the walk can reach
-        packed = {(j, 0): (1, 0) for j in range(last + 1)}
-        for c in range(1, take + 1):
-            for j in range(last - c, take - c - 1, -1):
-                if comb(last - j, c) > _LANES:
-                    break
-                lanes = packs = 0
-                for i in range(j, last - c + 1):
-                    sub, sub_packs = packed[i + 1, c - 1]
-                    packs |= (masks[i] * (ones >> bits * (_LANES - sub)) + sub_packs) << bits * lanes
-                    lanes += sub
-                packed[j, c] = lanes, packs
-        for choice in product(*(combinations(m, t) for m, t in outer)):
-            for lanes, packs, prefix in _pieces(masks, packed, 0, take, sum(map(sum, choice))):
-                # a piece has at most `_LANES` lanes, so it crosses at most one boundary
-                x |= (prefix * (ones >> bits * (_LANES - lanes)) + packs) << bits * filled
-                filled += lanes
-                if filled >= _LANES:
-                    yield x & ((1 << bits * _LANES) - 1), _LANES
-                    x >>= bits * _LANES
-                    filled -= _LANES
-    if filled:
-        yield x, filled
-
-
-def _pieces(masks: list, packed: dict, j: int, c: int, prefix: int) -> Iterator[tuple]:
-    """(lanes, lanes packed, prefix to add to each) covering combinations(masks[j:], c)
-    in order: one packed block, or the pieces under each first member in turn."""
-    if (j, c) in packed:
-        yield (*packed[j, c], prefix)
-    else:
-        for i in range(j, len(masks) - c + 1):
-            yield from _pieces(masks, packed, i + 1, c - 1, prefix + masks[i])
+        for choice in product(*(combinations(masks, take) for masks, take in block)):
+            yield sum(map(sum, choice))
 
 
 def _best_candidates(n: int, target: int, allowed: Sequence[CyclotomicCoset],
@@ -172,61 +125,50 @@ def _best_candidates(n: int, target: int, allowed: Sequence[CyclotomicCoset],
     The candidates are the residue bitmasks of the unions of `allowed`
     cosets with exactly `target` members, ranked by falling
     designed-distance bound, then by bitmask. Only unions of that size are
-    ranked: the cosets are grouped by size, and for each choice of how many
-    cosets to take of each size that adds up to `target`, the unions are
+    counted or built: per choice of how many cosets to take of each size,
     sums of `combinations` within each size class.
 
-    The unions are ranked in the chunks of `_lane_chunks`, each a `width`-byte
-    lane of one int: n residue bits, at least one zero guard bit above. One
-    rotate-and-AND of the whole int takes every lane one step further, as
-    `consecutive_run_bound_mask` does for one mask, so a lane still nonzero
-    after r steps has bound at least r + 2. Adding all-ones below each guard
-    bit carries into the guard exactly in the nonzero lanes, so the lanes'
-    top bytes say which are alive. The lanes that die at one step form a tier
-    of equal bound, read out of the chunk as masks; tiers are read from the
-    top until `keep` masks are held, and once `keep` are held, steps below
-    the `keep`-th bound are no longer kept.
+    When every candidate is kept, each is ranked by
+    `consecutive_run_bound_mask`. Otherwise the search starts from the runs:
+    a union's bound is at least r + 1 exactly when it holds the cosets that
+    cover r consecutive residues (r = n for the full union). From each start,
+    the run grows one residue at a time, and each set of cosets it needs is
+    recorded with the longest run it covers, while those cosets fit in
+    `target`. The unions holding each set are built, longest run first; a
+    union's bound is that of the first run that builds it. Once a run length
+    ends with `keep` unions held, no shorter run can displace them.
     """
-    blocks = _union_blocks(target, allowed)
-    count = sum(prod(comb(len(masks), take) for masks, take in block) for block in blocks)
-    keep = count if keep is None else keep
-    width, full = n // 8 + 1, (1 << n) - 1
-    # the best `keep` so far, each as its sort key: (n + 1 - bound) above the mask's n bits
-    best: list[int] = []
-    for chunk, lanes in _lane_chunks(n, blocks):
-        unit = int.from_bytes(b"\1".ljust(width, b"\0") * lanes, "little")
-        guard = unit << (8 * width - 1)
-        hi, low = ((1 << n) - 2) * unit, guard - unit
-        floor = n + 1 - (best[-1] >> n) if best and len(best) >= keep else 1
-        # one entry per stored step, lowest first: a byte per lane, 0x80 where the
-        # lane is still nonzero; the leading all-alive entry stands for step -1,
-        # so the empty union, dead at step 0, gets bound 1
-        alive = [int.from_bytes(b"\x80" * lanes, "little")] if floor <= 1 else []
-        x, step = chunk, 0
-        while True:
-            if step + 2 >= floor:
-                alive.append(int.from_bytes(
-                    ((x + low) & guard).to_bytes(lanes * width, "little")[width - 1::width],
-                    "little"))
-            # the full union never dies: its bound is n + 1
-            if not x or step == n - 1:
+    masks = [sum(1 << s for s in coset.members) for coset in allowed]
+    blocks = _union_blocks(target, masks)
+    count = sum(prod(comb(len(group), take) for group, take in block) for block in blocks)
+    if keep is None or keep >= count:
+        return count, sorted(_unions(blocks),
+                             key=lambda mask: (-consecutive_run_bound_mask(n, mask), mask))
+    owner = {s: mask for coset, mask in zip(allowed, masks) for s in coset.members}
+    # run length -> the unions of cosets (as residue bitmasks) whose longest run it is
+    runs: dict[int, set[int]] = {}
+    for start in range(n):
+        cover = 0  # the residues of the cosets the run from `start` needs so far
+        for r in range(n + 1):
+            residue = (start + r) % n
+            if r < n and cover >> residue & 1:
+                continue
+            if cover:
+                runs.setdefault(r, set()).add(cover)
+            if r == n or residue not in owner:
                 break
-            x &= ((x << 1) & hi) | ((x >> (n - 1)) & unit)
-            step += 1
-        bound, later, taken = step + 2, 0, 0
-        for now in reversed(alive):
-            tier = [chunk >> 8 * width * i & full
-                    for i in compress(range(lanes), (now ^ later).to_bytes(lanes, "little"))]
-            best.extend(map(((n + 1 - bound) << n).__or__, tier))
-            taken += len(tier)
-            if taken >= keep:
+            cover |= owner[residue]
+            if cover.bit_count() > target:
                 break
-            bound, later = bound - 1, now
-        if len(best) >= keep:
-            best.sort()
-            del best[keep:]
-    best.sort()
-    return count, list(map(full.__and__, best))
+    bounds: dict[int, int] = {}
+    for r in sorted(runs, reverse=True):
+        if len(bounds) >= keep:
+            break
+        for cover in runs[r]:
+            rest = [mask for mask in masks if not mask & cover]
+            for mask in _unions(_union_blocks(target - cover.bit_count(), rest)):
+                bounds.setdefault(cover | mask, r + 1)
+    return count, sorted(bounds, key=lambda mask: (-bounds[mask], mask))[:keep]
 
 
 def _resolve_narrow_sense(n: int, q: int, k: int, d: int) -> CyclicCode | None:
@@ -367,10 +309,11 @@ def _cross_row_notes(audits: list[RowAudit]) -> list[RowAudit]:
 
 def audit_rows(indices: Sequence[int] | None = None,
                budget: int = DEFAULT_BUDGET) -> list[RowAudit]:
-    """Audit the requested rows (default: all nine) of the reference table."""
+    """Audit the requested rows (default: all) of the reference table."""
     wanted = set(indices) if indices is not None else {r.index for r in REFERENCE_TABLE}
     unknown = wanted - {r.index for r in REFERENCE_TABLE}
     if unknown:
-        raise ValueError(f"unknown row indices {sorted(unknown)}; table has rows 1..9")
+        raise ValueError(f"unknown row indices {sorted(unknown)}; "
+                         f"table has rows 1..{len(REFERENCE_TABLE)}")
     audits = [audit_row(row, budget) for row in REFERENCE_TABLE if row.index in wanted]
     return _cross_row_notes(audits)

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 import asymqec.audit as audit_module
-from asymqec.audit import REFERENCE_TABLE, _best_candidates, audit_row
+from asymqec.audit import REFERENCE_TABLE, _best_candidates, audit_row, audit_rows
 from asymqec.cyclic import bch, consecutive_run_bound, consecutive_run_bound_mask
 from asymqec.polyring import coset_unions, cyclotomic_cosets
 
@@ -54,63 +54,50 @@ def _brute_force_rankings(n, allowed, targets):
     pytest.param(13, 3, (1, 2, 3, 4), None, id="13-3-picked4"),
     # coset sizes 1, 2, 3 and 6: several count vectors reach most targets
     pytest.param(63, 2, None, None, id="63-2-None"),
+    # coset sizes 1 and 3 over GF(4)
+    pytest.param(21, 4, None, None, id="21-4-None"),
     # row 9's C2 search: the 16 cosets avoiding -T(bch(127, 2, 7)), sizes 1 and 7;
     # target 0 is the empty union alone, target 127 has no union
     pytest.param(127, 2, _cosets_avoiding_negated(bch(127, 2, 7)),
                  (0, 1, 2, 7, 49, 50, 51, 113, 127), id="127-2-row9"),
 ])
-def test_candidate_sets_against_brute_force(monkeypatch, n, q, picked, targets):
+def test_candidate_sets_against_brute_force(n, q, picked, targets):
     cosets = cyclotomic_cosets(n, q)
     allowed = cosets if picked is None else [cosets[i] for i in picked]
-    rankings = _brute_force_rankings(n, allowed, targets)
-    # chunks of 1, 2, 3 and 7 lanes too: every union alone, last chunks cut
-    # short, and the kept bound carried from chunk to chunk
-    for lanes in (audit_module._LANES, 1, 2, 3, 7):
-        monkeypatch.setattr(audit_module, "_LANES", lanes)
-        for target, expected in rankings.items():
-            count = len(expected)
-            assert _best_candidates(n, target, allowed)[1] == expected
-            for keep in (1, 3, count + 2):
-                assert _best_candidates(n, target, allowed, keep) == (count, expected[:keep])
+    for target, expected in _brute_force_rankings(n, allowed, targets).items():
+        count = len(expected)
+        assert _best_candidates(n, target, allowed) == (count, expected)
+        for keep in (1, 2, 3, 7, count + 2):
+            assert _best_candidates(n, target, allowed, keep) == (count, expected[:keep])
 
 
-def _nested_unions(blocks):
-    """Per block, each union as the sum of one choice of nested `combinations`,
-    the first size class outermost: the lane order `_lane_chunks` packs."""
-    return [sum(map(sum, choice)) for block in blocks
-            for choice in itertools.product(*(itertools.combinations(masks, take)
-                                              for masks, take in block))]
+def _row9_allowed():
+    cosets = cyclotomic_cosets(127, 2)
+    return [cosets[i] for i in _cosets_avoiding_negated(bch(127, 2, 7))]
 
 
-@pytest.mark.parametrize("n,q,picked,targets", [
-    # coset sizes 1, 2, 3 and 6: blocks of several size classes
-    pytest.param(63, 2, None, None, id="63-2-all"),
-    pytest.param(13, 3, None, None, id="13-3-all"),
-    pytest.param(127, 2, _cosets_avoiding_negated(bch(127, 2, 7)),
-                 (0, 7, 49, 50, 51, 113, 127), id="127-2-row9"),
-])
-def test_lane_chunks_match_nested_combinations(monkeypatch, n, q, picked, targets):
-    """The chunks' lanes, read in order, are the unions in nested
-    `combinations` order, with 1 to `_LANES` lanes and nothing above them."""
-    cosets = cyclotomic_cosets(n, q)
-    allowed = cosets if picked is None else [cosets[i] for i in picked]
-    bits = 8 * (n // 8 + 1)
-    for lanes in (audit_module._LANES, 1, 2, 3, 7):
-        monkeypatch.setattr(audit_module, "_LANES", lanes)
-        for target in range(n + 1) if targets is None else targets:
-            blocks = audit_module._union_blocks(target, allowed)
-            unpacked = []
-            for chunk, count in audit_module._lane_chunks(n, blocks):
-                assert 1 <= count <= lanes and chunk >> bits * count == 0
-                unpacked += [chunk >> bits * i & ((1 << bits) - 1) for i in range(count)]
-            assert unpacked == _nested_unions(blocks)
+def test_row9_ranking_builds_few_unions(monkeypatch):
+    """Row 9's top three come from the few unions that hold its longest runs,
+    not from all 6,435 candidates."""
+    built = 0
+    unions = audit_module._unions
+
+    def counted(blocks):
+        nonlocal built
+        for mask in unions(blocks):
+            built += 1
+            yield mask
+
+    monkeypatch.setattr(audit_module, "_unions", counted)
+    count, best = _best_candidates(127, 50, _row9_allowed(), 3)
+    assert (count, len(best)) == (6435, 3)
+    assert 0 < built <= 64
 
 
 def test_row9_ranking_traced_peak_stays_small():
-    """Ranking row 9's 6,435 C2 candidates holds one chunk of lanes at a time,
-    not every union in one int (about 1.7 MB traced)."""
-    cosets = cyclotomic_cosets(127, 2)
-    allowed = [cosets[i] for i in _cosets_avoiding_negated(bch(127, 2, 7))]
+    """Ranking row 9's 6,435 C2 candidates for the top three holds only the
+    unions built from its longest runs, not every candidate at once."""
+    allowed = _row9_allowed()
     tracemalloc.start()
     try:
         count, best = _best_candidates(127, 50, allowed, 3)
@@ -119,6 +106,13 @@ def test_row9_ranking_traced_peak_stays_small():
         tracemalloc.stop()
     assert (count, len(best)) == (6435, 3)
     assert peak < 128 * 1024
+
+
+def test_audit_rows_names_the_table_range_for_unknown_rows():
+    last = len(REFERENCE_TABLE)
+    with pytest.raises(ValueError, match=rf"unknown row indices \[0, {last + 1}\]; "
+                                         rf"table has rows 1\.\.{last}$"):
+        audit_rows([1, 0, last + 1])
 
 
 def test_audit_row_propagates_construction_errors(monkeypatch):
