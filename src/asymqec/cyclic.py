@@ -491,15 +491,7 @@ def product_is_zero(a: CheckMatrix, b: CheckMatrix) -> bool:
         arows = a.bitmask_rows()
         brows = b.bitmask_rows()
         return all((ra & rb).bit_count() % 2 == 0 for ra in arows for rb in brows)
-    for ra in a.rows:
-        for rb in b.rows:
-            acc = 0
-            for x, y in zip(ra, rb):
-                if x and y:
-                    acc = f.add_i(acc, f.mul_i(x, y))
-            if acc != 0:
-                return False
-    return True
+    return not any(any(a.syndrome(rb)) for rb in b.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -257,16 +257,24 @@ class Polynomial(NamedTuple):
         """x^deg * p(1/x): the coefficient sequence reversed."""
         return Polynomial.from_coeffs(self.field, tuple(reversed(self.coeffs)))
 
-    def __pow__(self, e: int) -> Polynomial:
+    def __pow__(self, e: int, modulus: Polynomial | None = None) -> Polynomial:
+        """self^e, or self^e mod `modulus` as `pow(self, e, modulus)` asks;
+        a product is reduced only once its degree reaches deg(modulus)."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        acc = Polynomial.one(self.field)
-        base = self
+        if modulus is not None:
+            self._check(modulus)
+
+        def reduce(u: Polynomial) -> Polynomial:
+            return u if modulus is None or len(u.coeffs) < len(modulus.coeffs) else u % modulus
+
+        acc, base = reduce(Polynomial.one(self.field)), reduce(self)
         while e:
             if e & 1:
-                acc = acc * base
-            base = base * base
+                acc = reduce(acc * base)
             e >>= 1
+            if e:
+                base = reduce(base * base)
         return acc
 
     # -- evaluation -----------------------------------------------------------

@@ -10,8 +10,8 @@ Every distance is read off two facts cached per code:
   integer sum and a guard correction add two words). Per lead row i the
   scan starts at row i and Gray-walks the GF(p)-expansion of rows i+1..,
   one addition per class, and a weight is the popcount of the OR of the
-  planes' nonzero lanes. The distribution walks, the fibers and the orbit
-  builder below walk the same words;
+  planes' nonzero lanes. The distribution walks and the fibers below walk
+  the same words;
 - the weight distribution, from the cheaper side: the code's own words when
   k <= n - k, otherwise the MacWilliams transform (Krawtchouk columns by
   their three-term recurrence) of the dual's distribution.
@@ -21,16 +21,17 @@ A full walk (no cap, no early stop) over characteristic 2 of at least
 ints instead, the other rows walked outside them (`bitslice`).
 
 A cyclic code is the direct sum of minimal ideals M_s, one per cyclotomic
-coset s of its nonzeros. On M_s = GF(q^d) a cyclic shift multiplies by
-alpha^s, so shifts and scalars permute M_s minus 0 freely in orbits of
-o_s = lcm(n / gcd(n, s), q - 1) words, each mapping a + rest (rest: the other
-ideals) onto a fiber of the same weights. So with the lead ideal of largest
-o_s, A(code) = A(rest) + o_s * sum of hist(a + rest) over one a per orbit.
-This split is used when its reps * q^(k - d) fiber words, plus the q^d words
-of M_s marked to find the representatives at `_MARK_STEPS` walk steps each
-(nothing when they are already cached), are fewer than the direct walk's
-(q^k - 1)/(q - 1) projective classes. All fibers are walked in one call that
-builds the steps once.
+coset s of its nonzeros. M_s is {u g : u mod h}, GF(q)[x]/h = GF(q^d), and
+a cyclic shift multiplies u by x, so shifts and scalars permute M_s minus 0
+freely in orbits of o_s = lcm(n / gcd(n, s), q - 1) words, the cosets of
+<x, GF(q)*>, each mapping a + rest (rest: the other ideals) onto a fiber of
+the same weights. So with the lead ideal of largest o_s, A(code) = A(rest) +
+o_s * sum of hist(a + rest) over one a per orbit, and r = (q^d - 1)/o_s
+words gamma^i g, one per orbit, are built in closed form. This split is used
+when its r * q^(k - d) fiber words, plus `_BUILD_STEPS` walk steps per
+representative built (nothing when they are already cached), are fewer than
+the direct walk's (q^k - 1)/(q - 1) projective classes. All fibers are
+walked in one call that builds the steps once.
 
 `min_weight` is the scan's minimum when the scan reached the bound or walked
 the whole code, and otherwise the first nonzero weight of the distribution.
@@ -68,13 +69,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import DEFAULT_BUDGET, bitslice, galois
 from .cyclic import CyclicCode, from_defining_set
 from .errors import BudgetExceeded, InternalConsistencyError, NotNested
-from .polyring import CyclotomicCoset, cyclotomic_cosets
+from .polyring import CyclotomicCoset, Polynomial, cyclotomic_cosets
 
 _INF = 1 << 62
 
-#: walk steps that marking one word of a minimal ideal costs (3.1-4.0 measured
-#: over GF(2), 3.7 over GF(4), 1.0-1.7 over GF(3), each against a Gray step)
-_MARK_STEPS = 4
+#: walk steps that building one orbit representative costs (6-38 us measured over
+#: GF(2), GF(3) and GF(4) at n <= 255, each against a Gray step of 0.1-0.3 us)
+_BUILD_STEPS = 100
 
 #: rows from which full characteristic-2 walks run in lanes (at 10 rows faster for every
 #: n, m measured but n >= 127 over GF(2) and n = 255 over GF(4)), and the most held as lanes
@@ -131,19 +132,6 @@ def _guards(lanes: int, p: int) -> tuple[int, int, int]:
     """(L, 2^L - p in every lane, the guard bit of every lane) for odd p."""
     bit, spread = _lane_bits(p) - 1, bitslice.lanes
     return bit, spread(lanes, bit + 1, (1 << bit) - p), spread(lanes, bit + 1, 1 << bit)
-
-
-def _adder(n: int, p: int, m: int) -> Callable[[int, int], int]:
-    """The sum of two packed words of length n over GF(p^m)."""
-    if p == 2:
-        return int.__xor__
-    guard_bit, offset, guards = _guards(m * n, p)
-
-    def add(x: int, y: int) -> int:
-        s = x + y
-        return s - (((s + offset) & guards) >> guard_bit) * p
-
-    return add
 
 
 @lru_cache(maxsize=None)
@@ -431,56 +419,39 @@ def _orbit_representatives(n: int, q: int, coset: CyclotomicCoset) -> tuple[int,
     """One packed word of each orbit of the shifts and nonzero scalars on M_s
     minus 0.
 
-    Each unmarked word of M_s opens an orbit: the rotation cycles of its
-    multiples by the powers of alpha. Words are marked in a set of packed
-    words. An orbit of other than o_s words raises InternalConsistencyError.
+    M_s is {u g : u mod h}, g and h the generator and parity polynomials of
+    the ideal, h irreducible of degree d, and a shift multiplies u by x. So
+    the orbits are the cosets of <x, GF(q)*>, the subgroup of order o_s of
+    the cyclic group (GF(q)[x]/h)*, and for r = (q^d - 1)/o_s the words
+    gamma^i g, i < r, lie one in each orbit when gamma^((q^d - 1)/f) != 1 for
+    every prime f | r; gamma is the first such u past x in digit order.
+    r * o_s != q^d - 1 raises InternalConsistencyError.
     """
     key = (n, q, coset.representative)
     if key not in _ORBIT_CACHE:
+        d, size = len(coset.members), _orbit_size(n, q, coset.representative)
+        order = q**d - 1
+        r, rest = divmod(order, size)
+        if rest:
+            raise InternalConsistencyError(
+                f"M_s, s in {coset} mod {n}, has {order} nonzero words, not r * o_s = "
+                f"{r} * {size}")
         ideal = from_defining_set(n, q, set(range(n)).difference(coset.members))
-        _ORBIT_CACHE[key] = _plane_orbits(ideal, coset, _orbit_size(n, q, coset.representative))
+        field, g, h = ideal.field, ideal.generator_polynomial, ideal.parity_polynomial
+        u, reps = Polynomial.one(field), [_pack(n, field, g.coeffs)]
+        if r > 1:  # then d > 1; t skips 0 (no unit), GF(q)* and x (in <x, GF(q)*>)
+            primes = galois.prime_factors(r)
+            candidates = (Polynomial.from_coeffs(field, [t // q**j % q for j in range(d)])
+                          for t in range(q + 1, q**d))
+            gamma = next(v for v in candidates
+                         if all(pow(v, order // f, h).coeffs != (1,) for f in primes))
+        while len(reps) < r:
+            u = u * gamma
+            if u.degree >= d:
+                u = u % h
+            reps.append(_pack(n, field, (u * g).coeffs))
+        _ORBIT_CACHE[key] = tuple(reps)
     return _ORBIT_CACHE[key]
-
-
-def _orbit_closed(count: int, size: int, coset: CyclotomicCoset) -> None:
-    if count != size:
-        raise InternalConsistencyError(
-            f"an orbit of M_s, s in {coset} mod {coset.n}, has {count} words, not {size}")
-
-
-def _plane_orbits(ideal: CyclicCode, coset: CyclotomicCoset, size: int) -> tuple[int, ...]:
-    n, p, m = ideal.n, ideal.field.p, ideal.field.m
-    width = _lane_bits(p)
-    plane = n * width
-    add = _adder(n, p, m)
-    full = (1 << m * plane) - 1
-    wrap = bitslice.lanes(m, plane, (1 << width) - 1)  # coordinate 0 of each plane
-    keep, last = full ^ wrap, plane - width
-    # alpha * y: plane c moves to c + 1 and the top plane folds back through
-    # x^m = -(the lower terms of the modulus), one addition per unit
-    top = (m - 1) * plane
-    units = [c * plane for c, coeff in enumerate(ideal.field.modulus[:m])
-             for _ in range(-coeff % p)]
-    seen = {0}
-    reps = []
-    word = 0
-    for row in _steps(_plane_rows(ideal), p)():
-        word = add(word, row)
-        if word in seen:
-            continue
-        marked, y = len(seen), word
-        for _ in range(ideal.q - 1):
-            # seen is a union of whole rotation cycles, so y's cycle is all in or all out
-            x = y
-            while x not in seen:
-                seen.add(x)
-                x = ((x << width) & keep) | ((x >> last) & wrap)  # one cyclic shift
-            z, y = y >> top, (y << plane) & full
-            for shift in units:
-                y = add(y, z << shift)
-        reps.append(word)
-        _orbit_closed(len(seen) - marked, size, coset)
-    return tuple(reps)
 
 
 def _distribution_split(code: CyclicCode, lead: CyclotomicCoset) -> Distribution:
@@ -502,9 +473,9 @@ def _distribution_direct(code: CyclicCode) -> Distribution:
         return ((0, 1),)
     q, lead = code.q, _lead(code)
     d = len(lead.members)
-    reps = (q**d - 1) // _orbit_size(code.n, q, lead.representative)
-    marking = 0 if (code.n, q, lead.representative) in _ORBIT_CACHE else _MARK_STEPS * q**d
-    if reps * q ** (code.k - d) + marking < _messages(q, code.k):
+    r = (q**d - 1) // _orbit_size(code.n, q, lead.representative)
+    building = 0 if (code.n, q, lead.representative) in _ORBIT_CACHE else _BUILD_STEPS * r
+    if r * q ** (code.k - d) + building < _messages(q, code.k):
         return _distribution_split(code, lead)
     counts = [0] * (code.n + 1)
     _plane_scan(code, counts, _INF)

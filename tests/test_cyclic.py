@@ -12,6 +12,7 @@ import pytest
 import oracle
 from asymqec import cyclic
 from asymqec.cyclic import (
+    CheckMatrix,
     CyclicCode,
     DefiningSet,
     bch,
@@ -243,6 +244,28 @@ def test_generator_parity_orthogonal(code):
     assert G.row_count == code.k
     assert H.row_count == code.n - code.k
     assert product_is_zero(G, H)
+
+
+@pytest.mark.parametrize("code", [bch(8, 3, 3), bch(15, 4, 3), bch(10, 9, 3), rs(8, 3)])
+def test_qary_matrix_products_match_the_dot_products(code):
+    f = code.field
+
+    def dot(x, y):
+        acc = 0
+        for a, b in zip(x, y):
+            acc = f.add_i(acc, f.mul_i(a, b))
+        return acc
+
+    G, H = generator_matrix(code), parity_check_matrix(code)
+    for a, b in [(G, H), (H, G), (G, G), (H, H)]:
+        assert product_is_zero(a, b) == all(dot(x, y) == 0 for x in a.rows for y in b.rows)
+    assert product_is_zero(G, H) and not product_is_zero(G, G)
+    # a column count mismatch is reported before mixed fields
+    other = make_field(5)
+    with pytest.raises(ValueError, match="mixed fields"):
+        product_is_zero(G, CheckMatrix(other, code.n, ((1,) * code.n,), "generator"))
+    with pytest.raises(ValueError, match="column count mismatch"):
+        product_is_zero(G, CheckMatrix(other, code.n + 1, ((1,) * (code.n + 1),), "generator"))
 
 
 @pytest.mark.parametrize("code", [bch(15, 2, 5), bch(7, 2, 3), bch(15, 2, 3).dual()])

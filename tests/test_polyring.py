@@ -103,6 +103,27 @@ def check_div_rem(a, d):
     assert rem.degree < d.degree
 
 
+@pytest.mark.parametrize("field", [F2, make_field(3), F4], ids=repr)
+def test_pow_with_a_modulus_is_the_reduced_repeated_product(field):
+    rng = random.Random(17 * field.q)
+    for _ in range(200):
+        u = random_poly(rng, field, rng.randrange(7))
+        h = random_poly(rng, field, rng.randrange(1, 6))
+        if h.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                pow(u, 1, h)
+            continue
+        product = Polynomial.one(field)
+        for e in range(12):
+            assert u ** e == product
+            assert pow(u, e, h) == product % h, (u, e, h)
+            product = product * u
+    with pytest.raises(ValueError, match="negative"):
+        pow(Polynomial.x(field), -1, Polynomial.x(field))
+    with pytest.raises(ValueError, match="mixed fields"):
+        pow(Polynomial.x(field), 2, parse_poly("x^2 + 1", F5))
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS + LANE_EDGE_FIELDS, ids=repr)
 def test_div_rem_and_mul_match_the_schoolbook_oracle(field):
     rng = random.Random(field.q)

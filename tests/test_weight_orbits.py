@@ -7,6 +7,7 @@ A(rest) plus o_s times the histogram of a + rest for one word a per orbit.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -98,12 +99,27 @@ def test_orbits_partition_each_minimal_ideal(n, q):
         assert covered == words - {(0,) * n}
 
 
+def test_the_representatives_of_a_large_ideal_take_little_memory():
+    # M_s for s = 1 mod 46 over GF(3) has 3^11 - 1 nonzero words in 3,851 orbits of 46
+    fresh()
+    coset = cyclotomic_cosets(46, 3)[1]
+    tracemalloc.start()
+    try:
+        reps = asymqec.weights._orbit_representatives(46, 3, coset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == 3851
+    assert peak < 1 << 20
+    fresh()
+
+
 @pytest.mark.parametrize("n,q", [(15, 2), (9, 4), (8, 3)])
 def test_an_orbit_of_the_wrong_size_raises(n, q, monkeypatch):
     fresh()
     real = asymqec.weights._orbit_size
     monkeypatch.setattr(asymqec.weights, "_orbit_size", lambda n, q, s: real(n, q, s) + 1)
-    with pytest.raises(InternalConsistencyError, match="words, not"):
+    with pytest.raises(InternalConsistencyError, match=r"nonzero words, not r \* o_s"):
         asymqec.weights._orbit_representatives(n, q, cyclotomic_cosets(n, q)[1])
     assert not asymqec.weights._ORBIT_CACHE
 
@@ -130,10 +146,11 @@ def test_word_count_rule(monkeypatch):
                         lambda code, lead: calls.append(code) or real(code, lead))
     fresh()
     # hamming(3, 2) is [7,4]; its distribution walks the [7,3] dual, where the
-    # split would walk 1 * 2^0 + 4 * 2^3 = 33 words against 7
+    # split would walk 1 * 2^0 words and build 1 representative at 100 steps,
+    # against 7
     assert weight_distribution(hamming(3, 2)) == ((0, 1), (3, 7), (4, 7), (7, 1))
     assert calls == []
-    # each [43,15] binary code: 381 * 2^1 + 4 * 2^14 against 2^15 - 1, where
+    # each [43,15] binary code: 381 * 2^1 + 100 * 381 against 2^15 - 1, where
     # the split took twice the plain walk's time
     cosets = cyclotomic_cosets(43, 2)
     assert [len(c.members) for c in cosets] == [1, 14, 14, 14]
@@ -143,13 +160,13 @@ def test_word_count_rule(monkeypatch):
         weight_distribution(code)
     assert calls == []
     # the [89,22] binary code with nonzeros the first two 11-cosets:
-    # 23 * 2^11 + 4 * 2^11 against 2^22 - 1
+    # 23 * 2^11 + 100 * 23 against 2^22 - 1
     cosets = cyclotomic_cosets(89, 2)
     code = from_defining_set(89, 2, [s for c in cosets[:1] + cosets[3:] for s in c.members])
     assert code.k == 22
     weight_distribution(code)
     assert calls == [code]
-    # the [127,21] dual of bch(127, 2, 7): 1 * 2^14 + 4 * 2^7 against 2^21 - 1
+    # the [127,21] dual of bch(127, 2, 7): 1 * 2^14 + 100 * 1 against 2^21 - 1
     weight_distribution(bch(127, 2, 7))
     assert calls[1] == bch(127, 2, 7).dual()
     fresh()
@@ -187,14 +204,14 @@ def test_orbit_cache_follows_a_modulus_override():
         fresh()
 
 
-def test_cached_lead_representatives_cost_no_marking(monkeypatch):
+def test_cached_lead_representatives_cost_no_build(monkeypatch):
     calls = []
     real = asymqec.weights._distribution_split
     monkeypatch.setattr(asymqec.weights, "_distribution_split",
                         lambda code, lead: calls.append(code) or real(code, lead))
-    # each [43,15] binary code: cold, 381 * 2^1 + 4 * 2^14 against 2^15 - 1
+    # each [43,15] binary code: cold, 381 * 2^1 + 100 * 381 against 2^15 - 1
     # picks the plain walk; with its lead ideal's representatives cached the
-    # split walks 381 * 2^1 words and no marking
+    # split walks 381 * 2^1 words and builds nothing
     cosets = cyclotomic_cosets(43, 2)
     read = 0
     for kept in cosets[1:]:

@@ -402,8 +402,8 @@ def test_plane_kernel_against_brute_force_span(n, q, monkeypatch):
 
 def test_lanes_match_the_division_formula():
     # the shapes of `_guards` (2^L - p and the guard bit 2^L in lanes of L + 1
-    # bits), of `_plane_orbits` (low bits of a wider lane) and of the lane
-    # patterns (the upper half of a lane)
+    # bits), of low bits of a wider lane (the byte ones of `bitslice.walk`) and
+    # of the lane patterns (the upper half of a lane)
     for width in range(1, 10):
         values = {1 << width - 1, *((1 << k) - 1 for k in range(1, width + 1))}
         values |= {(1 << width - 1) - p for p in range(3, 1 << width, 2)
@@ -480,19 +480,25 @@ def test_full_walks_take_the_lanes(descriptor, monkeypatch, capsys):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("m", [1, 2])
 def test_lane_addition_at_its_boundary(p, m):
-    # every pair of elements in the middle lane of a 3-lane word whose other
-    # lanes hold the largest digit, p - 1, in every plane
+    # the walk from [top, a, top] along the row [top, b, top] for every pair of
+    # elements, top the largest element (p - 1 in every plane): each step is the
+    # walk's inline lane addition, and a carry out of a lane or a lane left at p
+    # or above changes which lanes read as nonzero
+    weights = asymqec.weights
     field = make_field(p, m)
-    n, top, width = 3, field.q - 1, asymqec.weights._lane_bits(p)
-    add = asymqec.weights._adder(n, p, m)
-    corner = field.add_i(top, top)
+    n, top, width = 3, field.q - 1, weights._lane_bits(p)
+    # the oracle's walk of [top, a, top] is its walk of [a] between two of [top]
+    corners = oracle.combinations((top,), [(top,)], field)
     for a in range(field.q):
-        x = asymqec.weights._pack(n, field, [top, a, top])
-        assert oracle.unpack_planes(x, n, field, width) == (top, a, top)
+        start = weights._pack(n, field, [top, a, top])
+        assert oracle.unpack_planes(start, n, field, width) == (top, a, top)
         for b in range(field.q):
-            y = asymqec.weights._pack(n, field, [top, b, top])
-            assert oracle.unpack_planes(add(x, y), n, field, width) == (
-                corner, field.add_i(a, b), corner), (a, b)
+            row, counts = weights._pack(n, field, [top, b, top]), [0] * (n + 1)
+            assert weights._plane_walk([start], [row], n, field, counts, weights._INF) == p
+            middles = oracle.combinations((a,), [(b,)], field)
+            histogram = Counter(2 * oracle.weight_q(c) + oracle.weight_q(x)
+                                for c, x in zip(corners, middles))
+            assert counts == [histogram[w] for w in range(n + 1)], (a, b)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS + [
