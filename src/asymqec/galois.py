@@ -437,6 +437,20 @@ class Field:
             raise ValueError(f"GF({self.q}) has no log table")
         return self._log[a]
 
+    def horner(self, coeffs: Sequence[int], x: int) -> int:
+        """sum(coeffs[i] * x^i) by Horner's rule, coefficients ascending."""
+        acc = 0
+        if self.p == 2 and self._log is not None and x:  # sums are XOR, products two lookups
+            exp, log = self._exp, self._log
+            lx = log[x]
+            for c in reversed(coeffs):
+                acc = (exp[log[acc] + lx] if acc else 0) ^ c
+        else:
+            add, mul = self.add_i, self.mul_i
+            for c in reversed(coeffs):
+                acc = add(mul(acc, x), c)
+        return acc
+
     # -- element layer -------------------------------------------------------
 
     def element(self, value: int) -> FieldElement:
@@ -614,24 +628,12 @@ def subfield_embedding(base: Field, ext: Field) -> tuple[tuple[int, ...], dict[i
     roots = []
     for j in range(1, base.q):
         y = ext.pow_i(ext._alpha_value, j * step)
-        acc = 0
-        for c in reversed(base.modulus):
-            acc = ext.add_i(ext.mul_i(acc, y), c)  # prime-field coefficients embed as themselves
-        if acc == 0:
+        if ext.horner(base.modulus, y) == 0:  # prime-field coefficients embed as themselves
             roots.append(y)
     if not roots:
         raise InternalConsistencyError(f"no root of the {base} modulus inside {ext}")
     y = min(roots)
-    powers = [1]
-    for _ in range(base.m - 1):
-        powers.append(ext.mul_i(powers[-1], y))
-    embed = [0] * base.q
-    for v in range(1, base.q):
-        acc = 0
-        for digit, yp in zip(_decode_digits(v, base.p, base.m), powers):
-            if digit:
-                acc = ext.add_i(acc, ext.mul_i(digit, yp))
-        embed[v] = acc
+    embed = [ext.horner(_decode_digits(v, base.p, base.m), y) for v in range(base.q)]
     lift = {img: v for v, img in enumerate(embed)}
     if len(lift) != base.q:
         raise InternalConsistencyError(f"embedding of {base} into {ext} is not injective")

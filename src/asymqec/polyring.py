@@ -282,28 +282,11 @@ class Polynomial(NamedTuple):
     def evaluate(self, point: FieldElement) -> FieldElement:
         if point.field != self.field:
             raise ValueError(f"evaluation point in {point.field}, coefficients in {self.field}")
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add_i(f.mul_i(acc, point.value), c)
-        return FieldElement(f, acc)
+        return FieldElement(self.field, self.field.horner(self.coeffs, point.value))
 
     def evaluate_embedded(self, point: FieldElement, embed: Sequence[int]) -> int:
         """Horner evaluation at an extension-field point, coefficients lifted via `embed`."""
-        ext, x = point.field, point.value
-        acc = 0
-        if ext.m == 1:
-            for c in reversed(self.coeffs):
-                acc = (acc * x + embed[c]) % ext.p
-        elif ext.p == 2 and ext._log is not None and x:
-            exp, log = ext._exp, ext._log
-            lx = log[x]
-            for c in reversed(self.coeffs):
-                acc = (exp[log[acc] + lx] if acc else 0) ^ embed[c]
-        else:
-            for c in reversed(self.coeffs):
-                acc = ext.add_i(ext.mul_i(acc, x), embed[c])
-        return acc
+        return point.field.horner([embed[c] for c in self.coeffs], point.value)
 
     # -- rendering -------------------------------------------------------------
 

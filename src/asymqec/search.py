@@ -8,8 +8,12 @@ and each derivation still checks its own nesting and dimensions. C2 of
 the extend-set route depends on T only through T union -T, so that route
 enumerates subsets of the +-classes {s, -s} of the admissible cosets, one T
 (all admissible cosets of the chosen classes) per block.
-Duplicates are suppressed and results come back sorted by falling distance
-asymmetry dz - dx, then falling logical dimension, then defining sets.
+Each record is built once, so none is dropped: every route visits each pair
+(C1, C2) at most once, as a css partner mask, a divisor f or a block T
+union -T, once per C1. The subsystem route gives each C1 its record and the
+role swap, and keeps one when k = r, where the swap is the same record.
+Results come back sorted by falling distance asymmetry dz - dx, then
+falling logical dimension, then defining sets.
 """
 
 from __future__ import annotations
@@ -54,18 +58,6 @@ def _sort_key(params: AqecParams | SubsystemParams):
         -gauge,
         params.c1.T.sorted_members,
         params.c2.T.sorted_members,
-    )
-
-
-def _dedup_key(params: AqecParams | SubsystemParams):
-    return (
-        params.n,
-        params.k,
-        getattr(params, "r", None),
-        params.dz.value,
-        params.dx.value,
-        params.c1.T.members,
-        params.c2.T.members,
     )
 
 
@@ -118,15 +110,9 @@ def search(n: int, q: int, route: str = "css", budget: int = DEFAULT_BUDGET, *,
         for c1 in codes:
             if c1.k == 0 or c1.k == n:
                 continue
-            results.extend(subsystem_euclidean(c1, budget))
-    seen = set()
-    unique = []
-    for params in results:
-        key = _dedup_key(params)
-        if key not in seen:
-            seen.add(key)
-            unique.append(params)
-    unique.sort(key=_sort_key)
-    if max_results is not None:
-        unique = unique[:max_results]
-    return unique
+            first, swapped = subsystem_euclidean(c1, budget)
+            results.append(first)
+            if swapped.k != first.k:  # at k = r the swap is the same record
+                results.append(swapped)
+    results.sort(key=_sort_key)
+    return results if max_results is None else results[:max_results]

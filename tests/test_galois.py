@@ -187,6 +187,25 @@ def test_subfield_embedding_is_ring_homomorphism(base_q, ext_pm):
         assert lift[embed[x]] == x
 
 
+@pytest.mark.parametrize("n,q", [(1, 2), (3, 7), (4, 3), (5, 2), (19, 2)])
+def test_horner_is_the_sum_of_the_coefficients_times_the_powers(n, q):
+    """GF(2), GF(7), GF(9), GF(16) and the table-free GF(2^18), the splitting
+    fields of these lengths, against the sum of c_i x^i term by term."""
+    field, alpha = nth_root_field(n, q)
+    assert field.q == {1: 2, 3: 7, 4: 9, 5: 16, 19: 2**18}[n]
+    assert (field._log is None) == (n == 19)
+    rng = random.Random(field.q)
+    points = {0, 1, alpha.value, *(rng.randrange(field.q) for _ in range(8))}
+    polys = [(), (0,), (0, 0, 1), *(tuple(rng.randrange(field.q) for _ in range(rng.randrange(1, 9)))
+                                    for _ in range(20))]
+    for coeffs in polys:
+        for x in points:
+            terms = 0
+            for i, c in enumerate(coeffs):
+                terms = field.add_i(terms, field.mul_i(c, field.pow_i(x, i)))
+            assert field.horner(coeffs, x) == terms, (coeffs, x)
+
+
 def test_generic_arithmetic_above_table_limit():
     # GF(2^17) and GF(3^11) exceed the log/antilog limit; residue arithmetic only
     for p, m in ((2, 17), (3, 11)):

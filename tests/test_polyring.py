@@ -196,6 +196,7 @@ def test_divides_answers_what_the_remainder_of_div_rem_says(field):
     ((5, 1), (5, 2)), ((2, 3), (2, 6)), ((3, 2), (3, 4)),
 ], ids=str)
 def test_evaluate_embedded_matches_evaluate_of_the_lifted_polynomial(base, ext):
+    # both sides run Field.horner, whose arithmetic test_galois checks term by term
     base, ext = make_field(*base), make_field(*ext)
     embed, _ = subfield_embedding(base, ext)
     rng = random.Random(ext.q)
