@@ -87,8 +87,16 @@ def _params_json(p: AqecParams | SubsystemParams, pad: str = "") -> str:
     if p.pure is not None:
         text += f',\n{i}"pure": {"true" if p.pure else "false"}'
     if p.notes:
-        text += f',\n{i}"notes": [\n{j}' + f",\n{j}".join(map(_str, p.notes)) + f"\n{i}]"
+        text += f',\n{i}"notes": ' + _strings_json(p.notes, i)
     return text + f"\n{pad}}}"
+
+
+def _strings_json(items: Sequence[str], pad: str) -> str:
+    """json.dumps(list(items), indent=2), each line after the first indented by `pad`."""
+    if not items:
+        return "[]"
+    i = pad + "  "
+    return f"[\n{i}" + f",\n{i}".join(map(_str, items)) + f"\n{pad}]"
 
 
 class AqecParams(NamedTuple):

@@ -27,7 +27,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
-from .aqec import AqecParams, css_aqec
+from .aqec import AqecParams, _int, _params_json, _str, _strings_json, css_aqec
 from .cyclic import CyclicCode, bch, consecutive_run_bound_mask, from_defining_set
 from .polyring import CyclotomicCoset, cyclotomic_cosets, mask_residues
 from .weights import DEFAULT_BUDGET, min_weight
@@ -95,6 +95,20 @@ class RowAudit(NamedTuple):
         return dict(zip(("row",) + self._fields[1:], self),
                     computed=self.computed.as_dict() if self.computed else None,
                     notes=list(self.notes))
+
+
+def _audit_json(a: RowAudit, pad: str = "") -> str:
+    """json.dumps(a.as_dict(), indent=2), each line after the first indented
+    by `pad`, written straight from the fields in as_dict's key order; the
+    computed record is aqec._params_json's."""
+    i = pad + "  "
+    computed = _params_json(a.computed, i) if a.computed else "null"
+    return (f'{{\n{i}"row": {_int(a.index)},\n{i}"q": {_int(a.q)},'
+            f'\n{i}"c1": {_str(a.c1)},\n{i}"c2": {_str(a.c2)},'
+            f'\n{i}"c1_printed": {_str(a.c1_printed)},\n{i}"c2_printed": {_str(a.c2_printed)},'
+            f'\n{i}"expected": {_str(a.expected)},\n{i}"computed": {computed},'
+            f'\n{i}"verdict": {_str(a.verdict)},\n{i}"notes": {_strings_json(a.notes, i)}'
+            f'\n{pad}}}')
 
 
 def _union_blocks(target: int, masks: Sequence[int]) -> list[list[tuple[list[int], int]]]:

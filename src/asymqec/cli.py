@@ -9,14 +9,15 @@
 
 Output format is text (default), json or csv via --format. JSON is the
 bytes of json.dumps(document, indent=2) plus a newline: derived-code records
-are written from their fields by aqec._params_json, other payloads by
-json.dumps itself. List-valued output (search, table1, derive subsystem) in
-every format is written one record at a time, each rendered as it is
-written. Exit codes: 0 success, 2 precondition or parse error, 3 budget
-exceeded without a fallback, 4 internal consistency failure, 141 stdout
-closed by its reader before all output was written (the status a shell
-gives a process killed by SIGPIPE). The modulus override table is read from
-the file named by ASYMQEC_MODULUS_TABLE.
+are written from their fields by aqec._params_json, table1's rows by
+audit._audit_json, other payloads by json.dumps itself. List-valued output
+(search, table1, derive subsystem) in every format is written one record at
+a time, each rendered as it is written. Exit codes: 0 success, 2
+precondition or parse error, 3 budget exceeded without a fallback, 4
+internal consistency failure, 141 stdout closed by its reader before all
+output was written (the status a shell gives a process killed by SIGPIPE).
+The modulus override table is read from the file named by
+ASYMQEC_MODULUS_TABLE.
 
 Importing this module and building the parser loads only `asymqec`, this
 module and `asymqec.errors`: each command handler imports the modules it
@@ -267,12 +268,12 @@ _AUDIT_FIELDS = ["row", "verdict", "expected", "computed", "c1_printed", "c2_pri
 
 
 def _cmd_table1(args) -> int:
-    from .audit import audit_rows
+    from .audit import _audit_json, audit_rows
 
     indices = _parse_rows(args.rows) if args.rows else None
     audits = audit_rows(indices, args.budget)
     if args.format == "json":
-        _emit_json(a.as_dict() for a in audits)
+        _emit_json(audits, _audit_json)
     elif args.format == "csv":
         _emit_csv(map(_audit_flat, audits), _AUDIT_FIELDS)
     else:

@@ -5,7 +5,12 @@ generator polynomial is derived from T and cached, never authoritative, so
 the set calculus (intersection = union of defining sets, sum = intersection,
 dual = complement of the negated set, containment = reverse inclusion) is
 exact and cheap, and the polynomial routes cross-check it. Codes are
-interned by (n, q, T); a frozenset T is looked up before it is normalized.
+interned by (n, q, T). `from_defining_set` looks a frozenset T up as given,
+so only an equal, already validated key can hit; otherwise it normalises T
+once (`_residue_set`: each residue mod n, in one frozenset), looks that up,
+and on a miss validates it in `DefiningSet._closed_residues`: the length by
+`galois.check_length`, then closure under multiplication by q.
+`DefiningSet.closed` normalises and validates the same way.
 
 Also here: BCH / Reed-Solomon / Hamming constructors, generator and parity
 check matrices, encoding, the one root test (`roots_of`, which membership
@@ -25,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import galois
 from .errors import InternalConsistencyError
 from .galois import Field, check_length, field_of_size, nth_root_field, subfield_embedding
-from .polyring import Polynomial, coset_of, cyclotomic_cosets, factor_xn_minus_1
+from .polyring import Polynomial, coset_of, cyclotomic_cosets, factor_xn_minus_1, xn_minus_1
 
 
 class DefiningSet:
@@ -71,8 +76,12 @@ class DefiningSet:
     @classmethod
     def closed(cls, n: int, q: int, members: Iterable[int]) -> DefiningSet:
         """Validate coset closure; a non-closed input is rejected, not closed."""
+        return cls._closed_residues(n, q, _residue_set(n, members))
+
+    @classmethod
+    def _closed_residues(cls, n: int, q: int, mset: frozenset[int]) -> DefiningSet:
+        """`closed` on a set already reduced mod n by `_residue_set`."""
         check_length(n, q)
-        mset = frozenset(int(s) % n for s in members)
         if any(s * q % n not in mset for s in mset):  # not a union of cosets: name a gap
             for s in sorted(mset):
                 orbit = coset_of(n, q, s).members
@@ -115,6 +124,11 @@ class DefiningSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(s) for s in self.sorted_members) + "}"
+
+
+def _residue_set(n: int, members: Iterable[int]) -> frozenset[int]:
+    """The residues of `members` mod n; empty for n < 1, which check_length rejects."""
+    return frozenset(int(s) % n for s in members) if n > 0 else frozenset()
 
 
 def roots_of(f: Polynomial, n: int) -> frozenset[int]:
@@ -215,8 +229,7 @@ class CyclicCode:
             for coset, factor in factor_xn_minus_1(self.n, self.q):
                 if (coset.representative in members) == small_is_g:
                     small = small * factor
-            xn1 = Polynomial.monomial(self.field, self.n) - Polynomial.one(self.field)
-            large = xn1.exact_quotient(small)
+            large = xn_minus_1(self.field, self.n).exact_quotient(small)
             if large is None:
                 side = "generator" if small_is_g else "parity"
                 raise InternalConsistencyError(f"{side} polynomial does not divide x^n - 1")
@@ -241,12 +254,11 @@ class CyclicCode:
     @property
     def dual_generator_polynomial(self) -> Polynomial:
         """x^k h(1/x) / h(0), the generator of the dual code."""
-        h = self.parity_polynomial
-        rev = h.reverse()
-        h0 = h.coefficient(0)
-        if h0 == 0:
+        h = self.parity_polynomial.coeffs
+        if h[0] == 0:
             raise InternalConsistencyError("parity polynomial has zero constant term")
-        return rev.scale(self.field.inv_i(h0))
+        rev = Polynomial(self.field, h[::-1])  # h(0) != 0 leads, so nothing to trim
+        return rev if h[0] == 1 else rev.scale(self.field.inv_i(h[0]))
 
     # -- the defining-set calculus ---------------------------------------------
 
@@ -339,12 +351,12 @@ def from_defining_set(n: int, q: int, members: Iterable[int]) -> CyclicCode:
     # a frozenset is looked up as given: only an equal, already validated key can hit
     code = _CODE_CACHE.get((n, q, members)) if members.__class__ is frozenset else None
     if code is None:
-        # n < 1 is never interned: DefiningSet.closed rejects it below
-        mset = frozenset(int(s) % n for s in members) if n > 0 else frozenset()
+        # n < 1 is never interned: the length check rejects it below
+        mset = _residue_set(n, members)
         key = (n, q, mset)
         code = _CODE_CACHE.get(key)
         if code is None:
-            code = _CODE_CACHE[key] = CyclicCode(DefiningSet.closed(n, q, mset))
+            code = _CODE_CACHE[key] = CyclicCode(DefiningSet._closed_residues(n, q, mset))
     return code
 
 

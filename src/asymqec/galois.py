@@ -4,9 +4,10 @@ Elements are encoded as integers: the element with polynomial-residue digits
 (a_0, a_1, ..., a_{m-1}) over GF(p) is stored as sum(a_i * p**i), so for
 characteristic 2 the encoding is the familiar bitmask. Every field carries
 log/antilog tables (for q <= 2^16) making multiplication and inversion two
-array lookups; larger fields fall back to residue arithmetic modulo the
-field modulus. Fields and elements are immutable after construction and safe
-to share between threads.
+array lookups; over GF(p^m) with p odd and m > 1 a Zech-logarithm table
+makes addition and negation lookups too. Larger fields fall back to residue
+arithmetic modulo the field modulus. Fields and elements are immutable after
+construction and safe to share between threads.
 
 The one GF(p)[x] layer lives here too: one product (Kronecker substitution)
 and one division loop, behind `polyring`'s prime-field polynomials,
@@ -54,6 +55,7 @@ def register_invalidation_hook(hook: Callable[[], None]) -> None:
 
 def _invalidate_derived_caches() -> None:
     _FIELD_CACHE.clear()
+    check_length.cache_clear()
     subfield_embedding.cache_clear()
     for hook in _invalidation_hooks:
         hook()
@@ -102,9 +104,11 @@ def multiplicative_order(a: int, n: int) -> int:
     return order
 
 
+@lru_cache(maxsize=None)
 def check_length(n: int, q: int) -> None:
     """Reject lengths with no simple-root cyclic codes over GF(q), and any q
-    that is not a field size."""
+    that is not a field size. A pair that passes is remembered with the
+    other derived caches; a rejection is not, so it raises on every call."""
     if n < 1:
         raise ValueError(f"length n={n} must be positive")
     if gcd(n, q) != 1:
@@ -312,7 +316,8 @@ class Field:
     values for hot loops, and a `FieldElement` wrapper for everything else.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_hash", "_alpha_value", "_mod_int", "_exp", "_log")
+    __slots__ = ("p", "m", "q", "modulus", "_hash", "_alpha_value", "_mod_int", "_exp", "_log",
+                 "_zech")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -324,6 +329,7 @@ class Field:
         # integer encoding of the modulus, used by the GF(2^m) fast path
         self._mod_int = _encode_digits(modulus, p)
         self._alpha_value = (-modulus[0]) % p if m == 1 else p  # the residue class of x
+        self._zech = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
         else:
@@ -350,6 +356,10 @@ class Field:
                 v = _encode_digits(digits, p)
         if v != 1:
             raise InternalConsistencyError(f"modulus of GF({self.q}) is not primitive")
+        if p != 2 and self.m > 1:
+            # Zech logarithms: zech[i] = log(1 + alpha^i), -1 where 1 + alpha^i = 0;
+            # adding 1 raises the lowest digit, v % p, by one mod p
+            self._zech = [log[v - v % p + (v + 1) % p] for v in exp]
         exp.extend(exp)  # a second period: a sum of two logs needs no reduction
         self._exp, self._log = exp, log
 
@@ -380,6 +390,13 @@ class Field:
         p = self.p
         if self.m == 1:
             return (a + b) % p
+        if self._zech is not None:  # alpha^la + alpha^lb = alpha^la (1 + alpha^(lb - la))
+            if not a or not b:
+                return a or b
+            log = self._log
+            la = log[a]
+            z = self._zech[(log[b] - la) % (self.q - 1)]
+            return self._exp[la + z] if z >= 0 else 0
         da = _decode_digits(a, p, self.m)
         db = _decode_digits(b, p, self.m)
         return _encode_digits([(x + y) % p for x, y in zip(da, db)], p)
@@ -390,6 +407,8 @@ class Field:
         p = self.p
         if self.m == 1:
             return -a % p
+        if self._zech is not None:  # -1 = alpha^((q - 1) / 2)
+            return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
         return _encode_digits([(-d) % p for d in _decode_digits(a, p, self.m)], p)
 
     def sub_i(self, a: int, b: int) -> int:

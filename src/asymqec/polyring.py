@@ -297,6 +297,11 @@ class Polynomial(NamedTuple):
         return f"Polynomial({self.field!r}, {render_poly(self)!r})"
 
 
+def xn_minus_1(field: Field, n: int) -> Polynomial:
+    """x^n - 1 (n >= 1); -1 is encoded as its lowest digit, p - 1."""
+    return Polynomial(field, (field.p - 1,) + (0,) * (n - 1) + (1,))
+
+
 #: (divisor, dividend) -> whether the division is exact
 _DIVIDES: dict[tuple[Polynomial, Polynomial], bool] = {}
 #: (divisor, dividend) -> the exact quotient, or None
@@ -483,7 +488,7 @@ def factor_xn_minus_1(n: int, q: int) -> tuple[tuple[CyclotomicCoset, Polynomial
     while len(product) > 1:  # an odd last factor waits a level
         product = [*map(Polynomial.__mul__, product[::2], product[1::2]),
                    *product[len(product) & ~1:]]
-    if product[0] != Polynomial.monomial(base, n) - Polynomial.one(base):
+    if product[0] != xn_minus_1(base, n):
         raise InternalConsistencyError(
             f"minimal polynomials of (n={n}, q={q}) do not multiply to x^{n} - 1"
         )

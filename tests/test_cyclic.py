@@ -64,6 +64,15 @@ def test_non_closed_defining_set_rejected():
         from_defining_set(15, 2, {1, 2, 3})
     assert "not closed" in str(err.value)
     assert "coset" in str(err.value)
+    # one text for every container and spelling of the residues
+    message = ("defining set is not closed under multiplication by 2 mod 15: residue 3 needs "
+               "its whole coset {3,6,9,12}, missing [12]")
+    for spell in (frozenset, tuple, list, set):
+        for members in ([3, 6, 9], [-12, 21, 9], [3, 3, 6, 9, 24]):
+            for build in (from_defining_set, DefiningSet.closed):
+                with pytest.raises(ValueError) as err:
+                    build(15, 2, spell(members))
+                assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n,q", [(7, 2), (9, 2), (8, 3), (10, 3), (9, 4)])
@@ -108,6 +117,14 @@ def test_from_defining_set_interns_every_spelling_of_a_set():
         assert from_defining_set(15, 2, members) is code
     assert from_defining_set(15, 2, frozenset({1, 2, 4, 8})) is code
     assert bch(15, 2, 3) is code
+    for spell in (frozenset, tuple, list, set):  # duplicates too, and each builds it first
+        members = spell([1, 1, 2, 4, -7, 8, 16, 31, -14])
+        assert from_defining_set(15, 2, members) is code
+        clear_modulus_overrides()
+        fresh = from_defining_set(15, 2, members)
+        assert fresh is not code and fresh.T.members == frozenset({1, 2, 4, 8})
+        assert from_defining_set(15, 2, frozenset({1, 2, 4, 8})) is fresh
+        code = fresh
 
 
 def test_a_frozenset_that_is_not_closed_is_rejected_on_every_call():
@@ -379,6 +396,53 @@ def test_a_corrupted_coset_factor_trips_the_polynomial_checks(monkeypatch, membe
     code = from_defining_set(15, 2, members)
     with pytest.raises(InternalConsistencyError, match="does not divide"):
         code.generator_polynomial
+
+
+@pytest.mark.parametrize("members", [
+    (1, 2, 4, 8),                                          # g is multiplied up
+    tuple(s for s in range(15) if s not in (1, 2, 4, 8)),  # h is multiplied up
+])
+def test_a_wrong_degree_factor_that_divides_trips_the_generator_degree_check(
+        monkeypatch, members):
+    # the coset of 1's factor swapped for the coset of 5's: x^15 - 1 still
+    # divides exactly, but deg g is no longer |T|
+    factors = factor_xn_minus_1(15, 2)
+    by_rep = dict((coset.representative, factor) for coset, factor in factors)
+    swapped = tuple((coset, by_rep[5] if coset.representative == 1 else factor)
+                    for coset, factor in factors)
+    monkeypatch.setattr(cyclic, "factor_xn_minus_1", lambda n, q: swapped)
+    code = CyclicCode(DefiningSet.closed(15, 2, members))  # not interned
+    with pytest.raises(InternalConsistencyError, match=r"generator degree \d+ != \|T\| = "):
+        code.generator_polynomial
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (8, 3), (9, 4), (7, 8), (13, 3)])
+def test_dual_generator_is_the_scaled_reversal_of_h(n, q):
+    field = field_of_size(q)
+    h0_values = set()
+    for code in all_cyclic_codes(n, q):
+        h = code.parity_polynomial
+        h0 = h.coefficient(0)
+        h0_values.add(h0)
+        expected = h.reverse().scale(field.inv_i(h0))
+        assert code.dual_generator_polynomial == expected
+        assert code.dual_generator_polynomial.coeffs == expected.coeffs
+        assert code.dual().generator_polynomial == expected
+    assert (h0_values == {1}) == (q == 2)  # over GF(2) h(0) is 1; otherwise not always
+
+
+def test_a_corrupted_parity_polynomial_trips_the_dual_cross_check():
+    code = CyclicCode(bch(15, 2, 5).T)  # a copy outside the intern table
+    g, h = code._polynomials()
+    # one middle coefficient flipped: h(0) stays 1, the reversal no longer matches
+    code._h = Polynomial(h.field, h.coeffs[:1] + (1 - h.coeffs[1],) + h.coeffs[2:])
+    with pytest.raises(InternalConsistencyError, match="dual generator mismatch"):
+        code.dual()
+    code._h = Polynomial(h.field, (0,) + h.coeffs[1:])
+    with pytest.raises(InternalConsistencyError, match="zero constant term"):
+        code.dual()
+    code._h = h
+    assert code.dual() is bch(15, 2, 5).dual()
 
 
 @pytest.mark.parametrize("n,q,members", [(15, 2, (1, 2, 4, 8)), (8, 3, (1, 3)), (9, 4, ()),

@@ -155,6 +155,33 @@ def test_nth_root_field_rejects_repeated_roots():
         nth_root_field(6, 2)
 
 
+@pytest.mark.parametrize("n,q,message", [
+    (0, 2, "must be positive"), (-3, 5, "must be positive"),
+    (6, 2, "repeated-root"), (9, 3, "repeated-root"), (10, 4, "repeated-root"),
+    (5, 6, "not a prime power"), (7, 1, "not a prime power"), (7, 10, "not a prime power"),
+])
+def test_check_length_rejects_on_every_call_and_after_a_reset(n, q, message):
+    galois.check_length(15, 2)  # an accepted pair is remembered beside the rejections
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            galois.check_length(n, q)
+    clear_modulus_overrides()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            galois.check_length(n, q)
+    galois.check_length(15, 2)
+
+
+def test_check_length_is_forgotten_with_the_derived_caches():
+    clear_modulus_overrides()
+    assert galois.check_length.cache_info().currsize == 0
+    galois.check_length(15, 2)
+    galois.check_length(15, 2)
+    assert galois.check_length.cache_info().currsize == 1
+    clear_modulus_overrides()
+    assert galois.check_length.cache_info().currsize == 0
+
+
 def test_multiplicative_order():
     assert multiplicative_order(2, 15) == 4
     assert multiplicative_order(2, 7) == 3
@@ -378,3 +405,30 @@ def test_antilog_table_is_the_successive_alpha_multiples(p, m):
         powers.append(field._mul_raw(powers[-1], field.alpha.value))
     assert field._exp == powers
     assert all(field._log[v] == i for i, v in enumerate(powers[: field.q - 1]))
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_zech_addition_and_negation_are_the_digitwise_sum(p, m):
+    # the digits are computed here: oracle's own arithmetic calls add_i
+    field = make_field(p, m)
+    assert field._zech is not None and len(field._zech) == field.q - 1
+
+    def digits(v):
+        return [v // p ** i % p for i in range(m)]
+
+    def encode(ds):
+        return sum(d * p ** i for i, d in enumerate(ds))
+
+    for a in range(field.q):
+        da = digits(a)
+        assert field.neg_i(a) == encode([-x % p for x in da])
+        for b in range(field.q):
+            total = encode([(x + y) % p for x, y in zip(da, digits(b))])
+            assert field.add_i(a, b) == total, (a, b)
+            assert field.sub_i(total, b) == a
+
+
+def test_only_odd_extension_fields_under_the_table_limit_get_zech_logs():
+    assert make_field(3, 2)._zech is not None
+    for p, m in ((2, 1), (2, 4), (3, 1), (13, 1), (3, 11)):
+        assert make_field(p, m)._zech is None

@@ -18,6 +18,7 @@ import pytest
 
 from asymqec import cli
 from asymqec.aqec import _params_json
+from asymqec.audit import _audit_json, audit_rows
 from asymqec.galois import clear_modulus_overrides
 from asymqec.search import ROUTES, search
 from asymqec.weights import WeightReport
@@ -143,6 +144,29 @@ def test_record_writer_matches_as_dict_on_edited_records(pad):
     assert records[-1].r == 0
     for p in records:
         assert _params_json(p, pad) == _as_dict_text(p, pad)
+
+
+@pytest.mark.parametrize("rows", [None, "1,2", "8,9"])
+def test_table1_json_is_the_stdlib_rendering_of_each_audit(rows, capsys):
+    clear_modulus_overrides()
+    argv = ["table1", "--format", "json"] + (["--rows", rows] if rows else [])
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    indices = [int(r) for r in rows.split(",")] if rows else None
+    audits = audit_rows(indices)
+    assert out == json.dumps([a.as_dict() for a in audits], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("pad", ["", "  "])
+def test_audit_writer_matches_as_dict_on_edited_audits(pad):
+    note = 'say "hi" \\ then\nGF(2\u2074) \u220b \u03b1, \U0001d53d'
+    audit = audit_rows([1])[0]
+    bare = search(15, 2, "css")[0]._replace(pure=None, notes=())
+    edited = [audit, audit._replace(computed=None), audit._replace(notes=()),
+              audit._replace(notes=(note, ""), computed=bare),
+              audit._replace(c1="", c2=note, expected=note, verdict="")]
+    for a in edited:
+        assert _audit_json(a, pad) == _as_dict_text(a, pad)
 
 
 ROUND_TRIP_ARGV = [
